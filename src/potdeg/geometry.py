@@ -3,13 +3,16 @@
 A surface is a watertight triangulation carrying per-node outward unit
 normals and vertex quadrature weights (one third of the incident flat
 triangle areas).  Point classification against the surface goes through
-the Gauss solid-angle integral.
+the Gauss solid-angle integral; exact membership of many points (volume
+grids) through the pseudonormal sign at the closest surface point.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -40,6 +43,7 @@ class SurfaceMesh:
     _tree: cKDTree = field(default=None, repr=False, compare=False)
     _node_spacing: np.ndarray = field(default=None, repr=False, compare=False)
     _incident: list = field(default=None, repr=False, compare=False)
+    _pseudo: "Pseudonormals" = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -59,16 +63,11 @@ class SurfaceMesh:
     def node_spacing(self) -> np.ndarray:
         """Mean incident edge length per node."""
         if self._node_spacing is None:
-            n = self.n_nodes
-            acc = np.zeros(n)
-            cnt = np.zeros(n)
-            for (i, j, k) in self.triangles:
-                for a, b in ((i, j), (j, k), (k, i)):
-                    d = np.linalg.norm(self.nodes[a] - self.nodes[b])
-                    acc[a] += d
-                    acc[b] += d
-                    cnt[a] += 1
-                    cnt[b] += 1
+            edges = _directed_edges(self.triangles)
+            d = np.linalg.norm(self.nodes[edges[:, 0]] - self.nodes[edges[:, 1]], axis=1)
+            acc = np.zeros(self.n_nodes)
+            np.add.at(acc, edges.ravel(), np.repeat(d, 2))
+            cnt = np.bincount(edges.ravel(), minlength=self.n_nodes)
             self._node_spacing = acc / np.maximum(cnt, 1)
         return self._node_spacing
 
@@ -76,13 +75,18 @@ class SurfaceMesh:
     def incident_triangles(self) -> list:
         """For each node, indices of triangles touching it."""
         if self._incident is None:
-            inc = [[] for _ in range(self.n_nodes)]
-            for t, (i, j, k) in enumerate(self.triangles):
-                inc[i].append(t)
-                inc[j].append(t)
-                inc[k].append(t)
-            self._incident = [np.array(a, dtype=int) for a in inc]
+            flat = self.triangles.ravel()
+            order = np.argsort(flat, kind="stable")
+            cnt = np.bincount(flat, minlength=self.n_nodes)
+            self._incident = np.split(order // 3, np.cumsum(cnt)[:-1])
         return self._incident
+
+    @property
+    def pseudonormals(self) -> "Pseudonormals":
+        """Closest-point and pseudonormal tables of points_inside, built once."""
+        if self._pseudo is None:
+            self._pseudo = _build_pseudonormals(self.nodes, self.triangles)
+        return self._pseudo
 
     def local_spacing(self, x) -> float:
         """Node spacing at the node nearest to x."""
@@ -103,25 +107,33 @@ def triangle_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
 
 
+def _directed_edges(triangles: np.ndarray) -> np.ndarray:
+    """(3t, 2) node pairs (i, j), (j, k), (k, i) of each triangle in turn."""
+    return triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+
+
 def check_watertight(triangles: np.ndarray) -> bool:
     """Every undirected edge must be shared by exactly two triangles."""
-    edges = {}
-    for (i, j, k) in triangles:
-        for a, b in ((i, j), (j, k), (k, i)):
-            key = (min(a, b), max(a, b))
-            edges[key] = edges.get(key, 0) + 1
-    return all(c == 2 for c in edges.values())
+    _, counts = np.unique(np.sort(_directed_edges(triangles), axis=1), axis=0,
+                          return_counts=True)
+    return bool(np.all(counts == 2))
 
 
 def _vertex_weights(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     areas = triangle_areas(nodes, triangles)
     w = np.zeros(len(nodes))
-    for t, (i, j, k) in enumerate(triangles):
-        share = areas[t] / 3.0
-        w[i] += share
-        w[j] += share
-        w[k] += share
+    np.add.at(w, triangles.ravel(), np.repeat(areas / 3.0, 3))
     return w
+
+
+def _orientation(nodes: np.ndarray, triangles: np.ndarray) -> float:
+    """+1 when the triangle winding is outward, -1 when inward.
+
+    Sign of the signed volume of the cone over the centroid-shifted surface.
+    """
+    q = nodes[triangles] - nodes.mean(axis=0)
+    vol6 = np.sum(np.einsum("ij,ij->i", q[:, 0], np.cross(q[:, 1], q[:, 2])))
+    return -1.0 if vol6 < 0 else 1.0
 
 
 def _vertex_normals(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -131,19 +143,12 @@ def _vertex_normals(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     p2 = nodes[triangles[:, 2]]
     cr = np.cross(p1 - p0, p2 - p0)  # 2*area * unit normal (winding orientation)
     nrm = np.zeros_like(nodes)
-    for t, (i, j, k) in enumerate(triangles):
-        nrm[i] += cr[t]
-        nrm[j] += cr[t]
-        nrm[k] += cr[t]
+    np.add.at(nrm, triangles.ravel(), np.repeat(cr, 3, axis=0))
     lengths = np.linalg.norm(nrm, axis=1)
     if np.any(lengths == 0):
         raise ValueError("degenerate vertex normal")
     nrm /= lengths[:, None]
-    # orientation: signed volume of the cone over the origin-shifted surface
-    centroid = nodes.mean(axis=0)
-    q0, q1, q2 = p0 - centroid, p1 - centroid, p2 - centroid
-    vol6 = np.sum(np.einsum("ij,ij->i", q0, np.cross(q1, q2)))
-    if vol6 < 0:
+    if _orientation(nodes, triangles) < 0:
         nrm = -nrm
     return nrm
 
@@ -236,6 +241,141 @@ def surface_integral(mesh: SurfaceMesh, values) -> float:
     return float(np.sum(mesh.weights * v))
 
 
+class Pseudonormals(NamedTuple):
+    """Per-mesh tables of points_inside (Baerentzen & Aanaes, IEEE TVCG 2005).
+
+    All normals are oriented outward whatever the triangle winding.
+    `feature[t, r]` is the row of `normals` for closest-point region r of
+    triangle t, in _closest_on_triangles' order: vertex a, vertex b, edge ab,
+    vertex c, edge ac, edge bc, face.
+    """
+
+    a: np.ndarray          # (t, 3) first vertex of each triangle
+    ab: np.ndarray         # (t, 3) b - a
+    ac: np.ndarray         # (t, 3) c - a
+    normals: np.ndarray    # (t + e + n, 3) face, edge and angle-weighted vertex normals
+    feature: np.ndarray    # (t, 7) int
+    centroids: cKDTree     # triangle centroids
+    r_max: float           # largest centroid-to-vertex distance
+    orient: float          # +1 outward winding, -1 inward
+
+
+def _build_pseudonormals(nodes: np.ndarray, triangles: np.ndarray) -> Pseudonormals:
+    t = len(triangles)
+    orient = _orientation(nodes, triangles)
+    p = nodes[triangles]                                   # (t, 3, 3)
+    ab, ac = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    fn = orient * np.cross(ab, ac)
+    fn /= np.linalg.norm(fn, axis=1)[:, None]
+    # edge pseudonormal: sum of the two incident face normals
+    keys, edge = np.unique(np.sort(_directed_edges(triangles), axis=1), axis=0,
+                           return_inverse=True)
+    edge = edge.reshape(t, 3)                              # columns ab, bc, ca
+    en = np.zeros((len(keys), 3))
+    np.add.at(en, edge.ravel(), np.repeat(fn, 3, axis=0))
+    # vertex pseudonormal: incident face normals weighted by the corner angle
+    to_next = np.roll(p, -1, axis=1) - p
+    to_prev = np.roll(p, 1, axis=1) - p
+    angle = np.arctan2(np.linalg.norm(np.cross(to_next, to_prev), axis=2),
+                       np.einsum("tkd,tkd->tk", to_next, to_prev))
+    vn = np.zeros_like(nodes)
+    np.add.at(vn, triangles.ravel(), (angle[:, :, None] * fn[:, None, :]).reshape(-1, 3))
+    e_row, v_row = t + edge, t + len(keys) + triangles
+    feature = np.column_stack([v_row[:, 0], v_row[:, 1], e_row[:, 0], v_row[:, 2],
+                               e_row[:, 2], e_row[:, 1], np.arange(t)])
+    centroid = p.mean(axis=1)
+    r_max = float(np.max(np.linalg.norm(p - centroid[:, None, :], axis=2)))
+    return Pseudonormals(p[:, 0], ab, ac, np.concatenate([fn, en, vn]), feature,
+                         cKDTree(centroid), r_max, orient)
+
+
+def _dot(u, v):
+    return np.einsum("ij,ij->i", u, v)
+
+
+def _closest_on_triangles(P, a, ab, ac):
+    """Closest point on triangle (a, a + ab, a + ac) to P, row by row, and its region.
+
+    Ericson, Real-Time Collision Detection, 5.1.5, vectorised; the region
+    codes follow its test order (see Pseudonormals).
+    """
+    ap = P - a
+    bp = ap - ab
+    cp = ap - ac
+    d1, d2 = _dot(ab, ap), _dot(ac, ap)
+    d3, d4 = _dot(ab, bp), _dot(ac, bp)
+    d5, d6 = _dot(ab, cp), _dot(ac, cp)
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+    region = np.select([(d1 <= 0) & (d2 <= 0),
+                        (d3 >= 0) & (d4 <= d3),
+                        (vc <= 0) & (d1 >= 0) & (d3 <= 0),
+                        (d6 >= 0) & (d5 <= d6),
+                        (vb <= 0) & (d2 >= 0) & (d6 <= 0),
+                        (va <= 0) & (d4 >= d3) & (d5 >= d6)],
+                       [0, 1, 2, 3, 4, 5], default=6)
+    # each denominator is a squared edge length or squared twice-area, so
+    # positive on the rows whose region selects it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        inv = 1.0 / (va + vb + vc)
+        v = np.choose(region, [0.0, 1.0, d1 / (d1 - d3), 0.0, 0.0, 1.0 - w_bc, vb * inv])
+        w = np.choose(region, [0.0, 0.0, 0.0, 1.0, d2 / (d2 - d6), w_bc, vc * inv])
+    return a + v[:, None] * ab + w[:, None] * ac, region
+
+
+# (point, triangle) pairs per block of points_inside: about 200 kB per (pairs, 3)
+# temporary.  Larger blocks are no faster and leave more freed heap resident.
+_PAIR_BLOCK = 1 << 13
+
+
+def points_inside(mesh: SurfaceMesh, X) -> np.ndarray:
+    """Exact membership of each point in the closed mesh, as a bool array.
+
+    Sign test of Baerentzen & Aanaes: the point is inside when it lies behind
+    the pseudonormal of its closest surface point (face normal, sum of the
+    two face normals on an edge, angle-weighted normal at a vertex).  The
+    closest triangle is searched among those whose centroid lies within the
+    nearest-node distance plus the largest centroid-to-vertex distance,
+    which contains it.  Points within round-off of the surface, where the
+    sign is not trustworthy, fall back to the exact winding number, so the
+    result equals orient * winding_solid_angle > 2 pi throughout.
+    """
+    from .potentials import winding_solid_angle
+
+    X = np.asarray(X, dtype=float).reshape(-1, 3)
+    pn = mesh.pseudonormals
+    d_node, _ = mesh.tree.query(X)
+    radius = (d_node + pn.r_max) * (1.0 + 1e-9)   # padded against round-off
+    counts = pn.centroids.query_ball_point(X, radius, return_length=True)
+    ends = np.cumsum(counts)
+    inside = np.empty(len(X), dtype=bool)
+    dist2 = np.empty(len(X))
+    s = 0
+    while s < len(X):
+        e = max(s + 1, int(np.searchsorted(ends, ends[s] - counts[s] + _PAIR_BLOCK, "right")))
+        cnt = counts[s:e]
+        lists = pn.centroids.query_ball_point(X[s:e], radius[s:e])
+        tri = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=int(cnt.sum()))
+        P = np.repeat(X[s:e], cnt, axis=0)
+        q, region = _closest_on_triangles(P, pn.a[tri], pn.ab[tri], pn.ac[tri])
+        diff = P - q
+        d2 = _dot(diff, diff)
+        dmin = np.minimum.reduceat(d2, np.cumsum(cnt) - cnt)
+        hit = np.flatnonzero(d2 == np.repeat(dmin, cnt))
+        owner = np.repeat(np.arange(e - s), cnt)[hit]
+        best = hit[np.r_[True, owner[1:] != owner[:-1]]]   # first closest pair per point
+        n = pn.normals[pn.feature[tri[best], region[best]]]
+        inside[s:e] = _dot(diff[best], n) < 0.0
+        dist2[s:e] = dmin
+        s = e
+    near = dist2 <= (1e-9 * float(np.max(mesh.node_spacing))) ** 2
+    if np.any(near):
+        inside[near] = pn.orient * winding_solid_angle(mesh, X[near]) > 2.0 * np.pi
+    return inside
+
+
 @dataclass
 class VolumeGrid:
     """Uniform cells whose centers lie inside the surface.
@@ -286,16 +426,20 @@ def volume_grid_from_mesh(mesh: SurfaceMesh, shape, box_lo=None, box_hi=None,
                           subcells: int = 4) -> VolumeGrid:
     """Grid of the mesh bounding box with partial-volume weights at the boundary.
 
-    Cell membership uses the exact polyhedron winding number (sharp down to
-    the surface, consistent with the panel-exact near-field quadrature), not
-    the banded trichotomy of classify_point, so the near-boundary shell is
-    kept.  Cells straddling the surface are split into subcells^3 pieces; the
-    cell gets the inside fraction as its weight and the inside centroid as its
+    Cell membership is exact for the flat polyhedron (sharp down to the
+    surface, consistent with the panel-exact near-field quadrature), not the
+    banded trichotomy of classify_point, so the near-boundary shell is kept.
+    It goes through points_inside: the pseudonormal sign at the closest
+    surface point, with the exact winding number (winding_solid_angle) for
+    points within round-off of a face, so it equals the winding test
+    `winding > 2 pi` of an outward-wound mesh.  An inward-wound mesh gives
+    the same grid.
+
+    Cells straddling the surface are split into subcells^3 pieces; the cell
+    gets the inside fraction as its weight and the inside centroid as its
     center, which keeps the mass distribution right to O(dx^2) for singular
     kernels integrated nearby.
     """
-    from .potentials import winding_solid_angle
-
     if box_lo is None:
         box_lo = mesh.nodes.min(axis=0)
     if box_hi is None:
@@ -306,7 +450,7 @@ def volume_grid_from_mesh(mesh: SurfaceMesh, shape, box_lo=None, box_hi=None,
     centers = box_cell_centers(box_lo, box_hi, shape)
     spacing = (box_hi - box_lo) / np.asarray(shape, dtype=float)
     vol = float(np.prod(spacing))
-    inside = winding_solid_angle(mesh, centers) > 2.0 * np.pi
+    inside = points_inside(mesh, centers)
 
     dist, _ = mesh.tree.query(centers)
     margin = float(np.linalg.norm(spacing / 2.0)) + float(np.max(mesh.node_spacing))
@@ -322,7 +466,7 @@ def volume_grid_from_mesh(mesh: SurfaceMesh, shape, box_lo=None, box_hi=None,
         gx, gy, gz = np.meshgrid(t, t, t, indexing="ij")
         off = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1) * spacing[None, :]
         pts = (centers[cand][:, None, :] + off[None, :, :]).reshape(-1, 3)
-        sub_in = (winding_solid_angle(mesh, pts) > 2.0 * np.pi).reshape(len(cand), -1)
+        sub_in = points_inside(mesh, pts).reshape(len(cand), -1)
         frac = sub_in.mean(axis=1)
         keep[cand] = frac > 0.0
         weights[cand] = vol * frac

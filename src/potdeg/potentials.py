@@ -274,19 +274,6 @@ def solid_angle(mesh: SurfaceMesh, x, principal_value=False) -> float:
                              principal_value=principal_value))
 
 
-def solid_angle_batch(mesh: SurfaceMesh, X, chunk=512) -> np.ndarray:
-    """Plain vertex-rule Gauss integral for many points (no near-field treatment)."""
-    X = np.asarray(X, dtype=float).reshape(-1, 3)
-    out = np.empty(len(X))
-    for s in range(0, len(X), chunk):
-        blk = X[s:s + chunk]
-        d = mesh.nodes[None, :, :] - blk[:, None, :]
-        r = np.maximum(np.linalg.norm(d, axis=-1), _R_FLOOR)
-        kern = -np.einsum("mnd,nd->mn", d, mesh.normals) / r ** 3
-        out[s:s + chunk] = kern @ mesh.weights
-    return out
-
-
 def winding_solid_angle(mesh: SurfaceMesh, X, chunk=128) -> np.ndarray:
     """Exact polyhedron winding: sum of signed triangle solid angles.
 
