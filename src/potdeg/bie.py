@@ -93,7 +93,7 @@ def g02_normal_derivative(mesh: SurfaceMesh, A1) -> np.ndarray:
     eps = 2.0 * mesh.node_spacing
     probes = np.concatenate([mesh.nodes - (k * eps)[:, None] * mesh.normals
                              for k in (1.0, 2.0, 3.0)])
-    D = double_layer_matrix(mesh, probes, KernelConvention.NEWTON, near_correct=False)
+    D = double_layer_matrix(mesh, probes, near_correct=False)
     f1 = D[:n] @ A1
     f2 = D[n:2 * n] @ A1
     f3 = D[2 * n:] @ A1

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MaxIterations, NoContraction, RadiusExceeded
-from .geometry import VolumeGrid
 
 
 @dataclass
@@ -82,10 +81,6 @@ def uniform_grid_1d(a: float, b: float, n: int):
     w[0] *= 0.5
     w[-1] *= 0.5
     return x[:, None], w
-
-
-def domain_from_volume_grid(grid: VolumeGrid):
-    return grid.centers.copy(), grid.weights.copy()
 
 
 def apply_operator(p: HammersteinProblem, f) -> np.ndarray:

@@ -338,10 +338,6 @@ def fmat_det_inv(mat):
     return det, inv
 
 
-def fmat_det(mat) -> Fraction:
-    return fmat_det_inv(mat)[0]
-
-
 def fmat_inv(mat):
     det, inv = fmat_det_inv(mat)
     if inv is None:

@@ -7,23 +7,41 @@ observation-point kernel grad_X h(X-P).n_P, which is -(1/4pi) times the
 unnormalized kernel d(1/r)/dn_P; the sign is pinned by the constant
 reproduction of the representation formula (see tests).
 
-Near-singular evaluations (probe closer than two node spacings, including
-on-surface principal values) recompute the contribution of the triangles
-incident to the nearby nodes by 4-way recursive flat-triangle subdivision
-with barycentric density interpolation and interpolated unit normals.
+Every layer evaluation, a point value or a dense operator, goes through one
+row routine, _layer_matrix: the vertex rule with the node weights folded in.
+A target closer than two node spacings to its nearest node gets the
+near-field patch correction: the triangles incident to the nodes within four
+spacings are recomputed by 4-way recursive flat-triangle subdivision with
+barycentric density interpolation.  A principal-value row (an on-surface
+target) instead excludes its nearest node and puts the analytic completion
+of that node's own quadrature cell (_pv_disk) in its column; kernels without
+such a completion (the gradients) refuse principal-value mode.  A point
+evaluator is one row of the matrix times the density.
+
+The adjoint double layer K' is the weighted transpose of the principal-value
+Newton double layer D_pv at the nodes, K'[i, j] = -(w_j / w_i) D_pv[j, i];
+the identity also gives its diagonal, -kappa rho / 4.
+
+Every volume evaluation goes through one chunked row routine, _volume_rows:
+the center rule, with cells within 2.5 spacings of a target integrated over
+subcells and the target's own cell (if any) given the singular-subcell rule.
+The adjoint volume operator K'_vol is the gradient rows at the nodes
+contracted with the node normals, (Y - P0).n0 / (4 pi r^3).
 """
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 
 import numpy as np
 
 from .errors import SingularEvaluation
-from .geometry import SurfaceMesh, VolumeGrid, as_point, triangle_areas
+from .geometry import SurfaceMesh, VolumeGrid, _directed_edges, as_point, triangle_areas
 
 _4PI = 4.0 * np.pi
 _R_FLOOR = 1e-30  # large enough that r**3 does not underflow to 0
+_CHUNK = 256      # target rows per block of the dense builders
 
 
 class KernelConvention(Enum):
@@ -32,7 +50,7 @@ class KernelConvention(Enum):
 
 
 # ---------------------------------------------------------------------------
-# raw kernels; pts (m,3), nrm (m,3) -> (m,) or (m,3)
+# raw kernels; x broadcasts against pts (..., 3), nrm (..., 3) -> (...) or (..., 3)
 # ---------------------------------------------------------------------------
 
 def _kern_single_newton(x, pts, nrm):
@@ -57,18 +75,6 @@ def _kern_abs_gauss(x, pts, nrm):
     return np.abs(np.einsum("...d,...d->...", d, nrm)) / r ** 3
 
 
-def _kern_adjoint_newton(n0):
-    """d h / d n_{p0}: gradient at the target dotted with the target normal."""
-    n0 = np.asarray(n0, dtype=float)
-
-    def kern(x, pts, nrm):
-        d = pts - x
-        r = np.maximum(np.linalg.norm(d, axis=-1), _R_FLOOR)
-        return (d @ n0) / (_4PI * r ** 3)
-
-    return kern
-
-
 def _kern_grad_single_newton(x, pts, nrm):
     d = x - pts
     r = np.maximum(np.linalg.norm(d, axis=-1), _R_FLOOR)
@@ -90,21 +96,18 @@ def _kern_grad_double_newton(x, pts, nrm):
 
 def mean_curvature(mesh: SurfaceMesh) -> np.ndarray:
     if getattr(mesh, "_kappa", None) is None:
-        n = mesh.n_nodes
-        acc = np.zeros(n)
-        cnt = np.zeros(n)
-        for (i, j, k) in mesh.triangles:
-            for a, b in ((i, j), (j, k), (k, i)):
-                for p, q in ((a, b), (b, a)):
-                    d = mesh.nodes[p] - mesh.nodes[q]
-                    r2 = d @ d
-                    acc[p] += -2.0 * (d @ mesh.normals[q]) / r2
-                    cnt[p] += 1
-        mesh._kappa = acc / np.maximum(cnt, 1)
+        e = _directed_edges(mesh.triangles)
+        # each edge (a, b) of each triangle as (a, b) then (b, a), the loop order
+        p, q = np.stack([e, e[:, ::-1]], axis=1).reshape(-1, 2).T
+        d = mesh.nodes[p] - mesh.nodes[q]
+        k = -2.0 * np.einsum("ed,ed->e", d, mesh.normals[q]) / np.einsum("ed,ed->e", d, d)
+        cnt = np.bincount(p, minlength=mesh.n_nodes)
+        mesh._kappa = np.bincount(p, k, minlength=mesh.n_nodes) / np.maximum(cnt, 1)
     return mesh._kappa
 
 
 def _pv_disk(mesh, i, kind):
+    """Self-cell completion at the nodes i (an index or an index array)."""
     rho = np.sqrt(mesh.weights[i] / np.pi)
     kappa = mean_curvature(mesh)[i]
     if kind == "single":
@@ -114,9 +117,7 @@ def _pv_disk(mesh, i, kind):
     if kind == "double_unnorm":
         return -np.pi * kappa * rho            # -4 pi times the Newton double layer
     if kind == "abs_gauss":
-        return np.pi * abs(kappa) * rho
-    if kind == "adjoint":
-        return -kappa * rho / 4.0              # target normal: ~ -kappa/(8 pi r)
+        return np.pi * np.abs(kappa) * rho
     raise ValueError(kind)
 
 
@@ -130,35 +131,35 @@ _kern_abs_gauss.pv_kind = "abs_gauss"
 # near-field patch machinery
 # ---------------------------------------------------------------------------
 
-_BARY_CACHE: dict = {}
-
-
+@functools.cache
 def _subdiv_bary(depth: int) -> np.ndarray:
     """Barycentric corner coordinates of the 4^depth midpoint subtriangles."""
-    if depth not in _BARY_CACHE:
-        tris = [np.eye(3)]
-        for _ in range(depth):
-            new = []
-            for t in tris:
-                a, b, c = t
-                ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
-                new += [np.array([a, ab, ca]), np.array([b, bc, ab]),
-                        np.array([c, ca, bc]), np.array([ab, bc, ca])]
-            tris = new
-        _BARY_CACHE[depth] = np.stack(tris)
-    return _BARY_CACHE[depth]
+    tris = [np.eye(3)]
+    for _ in range(depth):
+        new = []
+        for t in tris:
+            a, b, c = t
+            ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
+            new += [np.array([a, ab, ca]), np.array([b, bc, ab]),
+                    np.array([c, ca, bc]), np.array([ab, bc, ca])]
+        tris = new
+    return np.stack(tris)
 
 
-def _near_tri_ids(mesh: SurfaceMesh, x, radius_factor):
+_NEAR_TRIGGER = 2.0   # correct when closer than this many spacings
+_NEAR_RADIUS = 4.0    # panels within this many spacings get recomputed
+
+
+def _near_tri_ids(mesh: SurfaceMesh, x):
     h = mesh.local_spacing(x)
-    idx = mesh.tree.query_ball_point(np.asarray(x, dtype=float), radius_factor * h)
+    idx = mesh.tree.query_ball_point(np.asarray(x, dtype=float), _NEAR_RADIUS * h)
     tri = set()
     for i in idx:
         tri.update(mesh.incident_triangles[i].tolist())
     return np.array(sorted(tri), dtype=int)
 
 
-def _patch_group(mesh, x, kern, tri_ids, depth, exclude_node):
+def _patch_group(mesh, x, kern, tri_ids, depth):
     """Correction for one group of triangles at a common subdivision depth."""
     verts = mesh.triangles[tri_ids]                     # (T, 3)
     P = mesh.nodes[verts]                               # (T, 3, 3)
@@ -177,34 +178,23 @@ def _patch_group(mesh, x, kern, tri_ids, depth, exclude_node):
     flat[flip] = -flat[flip]
     nrm = np.broadcast_to(flat[:, None, :], cent.shape)
     k_sub = kern(x, cent.reshape(-1, 3), nrm.reshape(-1, 3))
-    vector = k_sub.ndim == 2
-    sub_area = A / 4 ** depth
-    if vector:
-        k_sub = k_sub.reshape(len(tri_ids), S, 3)
-        contrib = np.einsum("tsd,t,sk->tkd", k_sub, sub_area, cb)
-        kv = kern(x, P.reshape(-1, 3), N.reshape(-1, 3)).reshape(len(tri_ids), 3, 3)
-        share = (A / 3.0)[:, None, None] * kv
-    else:
-        k_sub = k_sub.reshape(len(tri_ids), S)
-        contrib = np.einsum("ts,t,sk->tk", k_sub, sub_area, cb)
-        kv = kern(x, P.reshape(-1, 3), N.reshape(-1, 3)).reshape(len(tri_ids), 3)
-        share = (A / 3.0)[:, None] * kv
-    if exclude_node is not None:
-        share[verts == exclude_node] = 0.0              # excluded from the base sum already
+    trail = k_sub.shape[1:]                             # () or (3,) for gradient kernels
+    k_sub = k_sub.reshape((len(tri_ids), S) + trail)
+    contrib = np.einsum("ts...,t,sk->tk...", k_sub, A / 4 ** depth, cb)
+    kv = kern(x, P.reshape(-1, 3), N.reshape(-1, 3)).reshape((len(tri_ids), 3) + trail)
+    share = np.einsum("t,tk...->tk...", A / 3.0, kv)
     delta = contrib - share
-    cols = verts.reshape(-1)
-    return cols, delta.reshape(-1, 3) if vector else delta.reshape(-1)
+    return verts.reshape(-1), delta.reshape((-1,) + trail)
 
 
-def _patch_assembly(mesh: SurfaceMesh, x, kern, tri_ids, exclude_node=None,
-                    max_depth=6):
+def _patch_assembly(mesh: SurfaceMesh, x, kern, tri_ids):
     """Subdivided-quadrature-minus-vertex-share correction, split per column node.
 
     Each triangle is subdivided to a depth set by its distance from x (a
-    geometric ladder: deeper where closer), so the outer corrected panels stay
-    cheap.  Returns (cols, delta): node indices (with repeats) and the values
-    to add to the corresponding vertex-rule terms; delta has shape (k,) for
-    scalar kernels, (k, 3) for gradient kernels.
+    geometric ladder: deeper where closer, at most 6), so the outer corrected
+    panels stay cheap.  Returns (cols, delta): node indices (with repeats) and
+    the values to add to the corresponding vertex-rule terms; delta has shape
+    (k,) for scalar kernels, (k, 3) for gradient kernels.
     """
     if len(tri_ids) == 0:
         return np.empty(0, dtype=int), np.empty(0)
@@ -215,66 +205,78 @@ def _patch_assembly(mesh: SurfaceMesh, x, kern, tri_ids, exclude_node=None,
     edge = np.linalg.norm(P - np.roll(P, 1, axis=1), axis=-1).max(axis=1)
     with np.errstate(divide="ignore"):
         depth = np.clip(np.ceil(np.log2(np.maximum(edge / np.maximum(dmin, 1e-12), 1e-9))) + 2,
-                        1, max_depth).astype(int)
-    depth[dmin <= 1e-12] = min(5, max_depth)            # triangles touching x itself
+                        1, 6).astype(int)
+    depth[dmin <= 1e-12] = 5                            # triangles touching x itself
     all_cols, all_delta = [], []
     for d in np.unique(depth):
-        cols, delta = _patch_group(mesh, x, kern, tri_ids[depth == d], int(d), exclude_node)
+        cols, delta = _patch_group(mesh, x, kern, tri_ids[depth == d], int(d))
         all_cols.append(cols)
         all_delta.append(delta)
     return np.concatenate(all_cols), np.concatenate(all_delta)
 
 
-_NEAR_TRIGGER = 2.0   # correct when closer than this many spacings
-_NEAR_RADIUS = 4.0    # panels within this many spacings get recomputed
+# ---------------------------------------------------------------------------
+# layer rows: the one evaluation path of every layer potential
+# ---------------------------------------------------------------------------
+
+def _layer_matrix(mesh: SurfaceMesh, X, kern, principal_value=False, near_correct=True):
+    """Rows of the layer operator with kernel kern at the targets X, weights folded in.
+
+    Shape (m, n) for scalar kernels and (m, n, 3) for gradient kernels.  Off
+    the surface, targets within _NEAR_TRIGGER spacings of their nearest node
+    get the near-field patch correction unless near_correct is False; a target
+    within 1e-12 of a node raises SingularEvaluation.  In principal-value mode
+    the nearest node's column holds the completion of its excluded self cell
+    and no patch is applied.
+    """
+    X = np.asarray(X, dtype=float).reshape(-1, 3)
+    # plain vertex-rule rows need only the coincidence test; a query bounded
+    # at 1e-12 answers it about ten times faster (dist is inf beyond it)
+    bound = np.inf if principal_value or near_correct else 1e-12
+    dist, nearest = mesh.tree.query(X, distance_upper_bound=bound)
+    if principal_value and not hasattr(kern, "pv_kind"):
+        raise ValueError("kernel has no principal-value self-cell completion")
+    if not principal_value and np.any(dist < 1e-12):
+        node = int(nearest[np.argmax(dist < 1e-12)])
+        raise SingularEvaluation(
+            f"evaluation point coincides with node {node}; use principal value mode")
+    # () for scalar kernels, (3,) for gradient kernels
+    trail = np.shape(kern(mesh.nodes[0], mesh.nodes[1:2], mesh.normals[1:2]))[1:]
+    out = np.empty((len(X), mesh.n_nodes) + trail)
+    w = mesh.weights.reshape((-1,) + (1,) * len(trail))
+    for s in range(0, len(X), _CHUNK):
+        # vals stays alive while the next block is computed, so the allocator
+        # reuses the block temporaries instead of returning and re-faulting
+        # them (about 20 % of the g02 build at level 4 otherwise)
+        vals = kern(X[s:s + _CHUNK, None, :], mesh.nodes, mesh.normals)
+        out[s:s + _CHUNK] = vals * w
+    if principal_value:
+        out[np.arange(len(X)), nearest] = _pv_disk(mesh, nearest, kern.pv_kind)
+    elif near_correct:
+        for i in np.nonzero(dist < _NEAR_TRIGGER * mesh.node_spacing[nearest])[0]:
+            cols, delta = _patch_assembly(mesh, X[i], kern, _near_tri_ids(mesh, X[i]))
+            np.add.at(out[i], cols, delta)
+    return out
 
 
-def _layer_eval(mesh: SurfaceMesh, dens, x, kern, principal_value=False,
-                near_correct=True):
-    """Vertex-rule layer evaluation with optional near-field patch correction."""
-    x = as_point(x)
+def _layer_value(mesh: SurfaceMesh, dens, x, kern, principal_value) -> float:
+    """One layer potential value: the target's row times the density."""
     dens = np.asarray(dens, dtype=float)
     if dens.shape != (mesh.n_nodes,):
         raise ValueError("density length does not match node count")
-    dist, nearest = mesh.tree.query(x)
-    nearest = int(nearest)
-    exclude = None
-    if principal_value:
-        exclude = nearest
-    elif dist < 1e-12:
-        raise SingularEvaluation(
-            f"evaluation point coincides with node {nearest}; use principal value mode")
-    vals = kern(x, mesh.nodes, mesh.normals)
-    wd = mesh.weights * dens
-    if exclude is not None:
-        wd = wd.copy()
-        wd[exclude] = 0.0
-    base = np.tensordot(wd, vals, axes=(0, 0))
-    if exclude is not None:
-        # on-surface: node-sampled continuum kernel plus the analytic completion
-        # of the excluded self cell
-        if near_correct and hasattr(kern, "pv_kind"):
-            base = base + dens[exclude] * _pv_disk(mesh, exclude, kern.pv_kind)
-    elif near_correct and dist < _NEAR_TRIGGER * mesh.node_spacing[nearest]:
-        tri_ids = _near_tri_ids(mesh, x, _NEAR_RADIUS)
-        cols, delta = _patch_assembly(mesh, x, kern, tri_ids, exclude_node=exclude)
-        if len(cols):
-            base = base + np.tensordot(dens[cols], delta, axes=(0, 0))
-    return base
+    return float(_layer_matrix(mesh, as_point(x), kern, principal_value)[0] @ dens)
 
 
 # ---------------------------------------------------------------------------
-# public operations
+# public layer operations
 # ---------------------------------------------------------------------------
 
 def solid_angle(mesh: SurfaceMesh, x, principal_value=False) -> float:
     """Gauss integral of d(1/r)/dn over the surface: -4pi / -2pi / 0 trichotomy."""
-    ones = np.ones(mesh.n_nodes)
-    return float(_layer_eval(mesh, ones, x, _kern_double_unnorm,
-                             principal_value=principal_value))
+    return _layer_value(mesh, np.ones(mesh.n_nodes), x, _kern_double_unnorm, principal_value)
 
 
-def winding_solid_angle(mesh: SurfaceMesh, X, chunk=128) -> np.ndarray:
+def winding_solid_angle(mesh: SurfaceMesh, X) -> np.ndarray:
     """Exact polyhedron winding: sum of signed triangle solid angles.
 
     Uses the arctangent formula per flat triangle, so membership is sharp down
@@ -287,6 +289,7 @@ def winding_solid_angle(mesh: SurfaceMesh, X, chunk=128) -> np.ndarray:
     pb = mesh.nodes[tri[:, 1]]
     pc = mesh.nodes[tri[:, 2]]
     out = np.empty(len(X))
+    chunk = 128
     for s in range(0, len(X), chunk):
         blk = X[s:s + chunk]
         a = pa[None, :, :] - blk[:, None, :]
@@ -305,17 +308,15 @@ def winding_solid_angle(mesh: SurfaceMesh, X, chunk=128) -> np.ndarray:
 
 def absolute_solid_angle(mesh: SurfaceMesh, x, principal_value=False) -> float:
     """Integral of |r_XP . n_P| / r^3; a surface-quality diagnostic, always finite."""
-    ones = np.ones(mesh.n_nodes)
-    return float(_layer_eval(mesh, ones, x, _kern_abs_gauss,
-                             principal_value=principal_value))
+    return _layer_value(mesh, np.ones(mesh.n_nodes), x, _kern_abs_gauss, principal_value)
 
 
 def single_layer(mesh: SurfaceMesh, v, x,
                  conv: KernelConvention = KernelConvention.UNNORMALIZED,
                  principal_value=False) -> float:
     """Simple layer potential of the density v at x."""
-    val = _layer_eval(mesh, v, x, _kern_single_newton, principal_value=principal_value)
-    return float(val * _4PI) if conv is KernelConvention.UNNORMALIZED else float(val)
+    val = _layer_value(mesh, v, x, _kern_single_newton, principal_value)
+    return val * _4PI if conv is KernelConvention.UNNORMALIZED else val
 
 
 def double_layer(mesh: SurfaceMesh, v, x,
@@ -327,67 +328,94 @@ def double_layer(mesh: SurfaceMesh, v, x,
     Newton: kernel grad_X h(X-P).n_P = -(1/4pi) times the unnormalized one.
     """
     kern = _kern_double_unnorm if conv is KernelConvention.UNNORMALIZED else _kern_double_newton
-    return float(_layer_eval(mesh, v, x, kern, principal_value=principal_value))
+    return _layer_value(mesh, v, x, kern, principal_value)
 
 
-def adjoint_double_layer(mesh: SurfaceMesh, v, x, n0, principal_value=False) -> float:
-    """d h/d n_{p0} layer (Newton convention): gradient at x dotted with the fixed n0."""
-    return float(_layer_eval(mesh, v, x, _kern_adjoint_newton(n0),
-                             principal_value=principal_value))
+def single_layer_matrix(mesh, X):
+    """Newton single layer at the targets X (near-corrected)."""
+    return _layer_matrix(mesh, X, _kern_single_newton)
 
 
-_SUBCELL_K = 4
-_SUBCELL_OFFSETS = None
+def double_layer_matrix(mesh, X, near_correct=True):
+    """Newton double layer at the targets X; near_correct=False gives the plain vertex rule."""
+    return _layer_matrix(mesh, X, _kern_double_newton, near_correct=near_correct)
 
 
-def _subcell_offsets():
+def grad_single_layer_matrix(mesh, X):
+    """(m, n, 3) gradient of the Newton single layer at the targets X."""
+    return _layer_matrix(mesh, X, _kern_grad_single_newton)
+
+
+def grad_double_layer_matrix(mesh, X):
+    """(m, n, 3) gradient of the Newton double layer at the targets X."""
+    return _layer_matrix(mesh, X, _kern_grad_double_newton)
+
+
+def adjoint_kernel_matrix(mesh: SurfaceMesh) -> np.ndarray:
+    """K'[i, j] = w_j * dh/dn_{p_i}(P_i - P_j); diagonal is the self-cell completion.
+
+    Built as -(w_j / w_i) D_pv[j, i] from the principal-value Newton double
+    layer at the nodes, whose diagonal kappa rho / 4 turns into -kappa rho / 4.
+    """
+    D = _layer_matrix(mesh, mesh.nodes, _kern_double_newton, principal_value=True)
+    K = D.T * -mesh.weights
+    K /= mesh.weights[:, None]
+    return K
+
+
+# ---------------------------------------------------------------------------
+# volume rows: the one evaluation path of every volume potential
+# ---------------------------------------------------------------------------
+
+def _unit_subcell_offsets(k):
     """Unit-cube offsets of the k^3 subcell centers, in (-1/2, 1/2)^3."""
-    global _SUBCELL_OFFSETS
-    if _SUBCELL_OFFSETS is None:
-        t = (np.arange(_SUBCELL_K) + 0.5) / _SUBCELL_K - 0.5
-        gx, gy, gz = np.meshgrid(t, t, t, indexing="ij")
-        _SUBCELL_OFFSETS = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    return _SUBCELL_OFFSETS
+    t = (np.arange(k) + 0.5) / k - 0.5
+    gx, gy, gz = np.meshgrid(t, t, t, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+
+
+_SUBCELL_OFFSETS = _unit_subcell_offsets(4)
+
+
+def _newton_kernel(d, gradient):
+    """h = 1/(4 pi r) at offsets d = x - y, or grad_x h = -d / (4 pi r^3); also r.
+
+    The gradient overwrites d, which saves a (m, c, 3) temporary per row block.
+    """
+    r = np.maximum(np.linalg.norm(d, axis=-1), _R_FLOOR)
+    if gradient:
+        d /= -(_4PI * r ** 3)[..., None]
+        return d, r
+    return 1.0 / (_4PI * r), r
 
 
 def _cell_points(grid: VolumeGrid, idx: int):
     """Quadrature points representing cell idx: subcell centers (inside ones for cut cells)."""
     if idx in grid.partial_points:
         return grid.partial_points[idx]
-    return grid.centers[idx] + _subcell_offsets() * grid.spacing[None, :]
+    return grid.centers[idx] + _SUBCELL_OFFSETS * grid.spacing[None, :]
 
 
-def _cell_kernel_mean(grid: VolumeGrid, idx: int, x, vector=False, self_cell=False):
+def _cell_kernel_mean(grid: VolumeGrid, idx: int, x, gradient, self_cell):
     """Mean of h (or grad h) over the cell's subcell points.
 
     When x lies in this cell, the subcell nearest x gets the equal-volume-ball
     value (and zero gradient), so the singularity is handled at subcell scale.
     """
     pts = _cell_points(grid, idx)
-    d = x - pts
-    r = np.maximum(np.linalg.norm(d, axis=-1), _R_FLOOR)
-    if vector:
-        vals = -d / (_4PI * r ** 3)[:, None]
-        if self_cell:
-            vals[np.argmin(r)] = 0.0
-        return vals.mean(axis=0)
-    vals = 1.0 / (_4PI * r)
+    vals, r = _newton_kernel(x - pts, gradient)
     if self_cell:
         sub_vol = grid.weights[idx] / len(pts)
         r_eq = (3.0 * sub_vol / _4PI) ** (1.0 / 3.0)
-        vals[np.argmin(r)] = (r_eq ** 2 / 2.0) / sub_vol
+        vals[np.argmin(r)] = 0.0 if gradient else (r_eq ** 2 / 2.0) / sub_vol
     return vals.mean(axis=0)
 
 
-def _batch_refined(grid: VolumeGrid, idxs, x, vector=False):
+def _batch_refined(grid: VolumeGrid, idxs, x, gradient):
     """Subcell-mean kernel values for several full cells at once."""
-    off = _subcell_offsets() * grid.spacing[None, :]
+    off = _SUBCELL_OFFSETS * grid.spacing[None, :]
     pts = grid.centers[idxs][:, None, :] + off[None, :, :]   # (c, s, 3)
-    d = x - pts
-    r = np.maximum(np.linalg.norm(d, axis=-1), _R_FLOOR)
-    if vector:
-        return np.mean(-d / (_4PI * r ** 3)[..., None], axis=1)
-    return np.mean(1.0 / (_4PI * r), axis=1)
+    return _newton_kernel(x - pts, gradient)[0].mean(axis=1)
 
 
 def _containing_cell(grid: VolumeGrid, x) -> int:
@@ -401,6 +429,47 @@ def _containing_cell(grid: VolumeGrid, x) -> int:
     return int(hits[0]) if len(hits) else -1
 
 
+def _near_refine_rows(grid: VolumeGrid, rows, X, own, r):
+    """Replace the entries of cells within 2.5 spacings by subcell-refined values in place.
+
+    own[i] is the cell holding target i (-1: none); it gets the singular-subcell
+    rule.  rows has shape (m, c) for h and (m, c, 3) for its gradient.
+    """
+    gradient = rows.ndim == 3
+    dx = float(np.max(grid.spacing))
+    for i, x in enumerate(X):
+        near = np.nonzero(r[i] < 2.5 * dx)[0]
+        batch = grid.full_cell[near] & (near != own[i])
+        full = near[batch]
+        if len(full):
+            vals = _batch_refined(grid, full, x, gradient)
+            rows[i, full] = grid.weights[full, None] * vals if gradient \
+                else grid.weights[full] * vals
+        for idx in near[~batch]:
+            rows[i, idx] = grid.weights[idx] * _cell_kernel_mean(
+                grid, idx, x, gradient, self_cell=(idx == own[i]))
+
+
+def _volume_rows(grid: VolumeGrid, X, own, gradient):
+    """Yield (start, rows) blocks of the volume operator at the targets X, volumes folded in.
+
+    rows[i, j] = w_j h(X_i - Y_j) by the center rule, or its gradient in X_i
+    (shape (m, c, 3)), with near entries refined by _near_refine_rows.  Blocks
+    of _CHUNK targets keep the (m, c, 3) temporaries small.
+    """
+    X = np.asarray(X, dtype=float).reshape(-1, 3)
+    w = grid.weights[:, None] if gradient else grid.weights
+    for s in range(0, len(X), _CHUNK):
+        rows, r = _newton_kernel(X[s:s + _CHUNK, None, :] - grid.centers, gradient)
+        rows *= w
+        _near_refine_rows(grid, rows, X[s:s + _CHUNK], own[s:s + _CHUNK], r)
+        yield s, rows
+
+
+# ---------------------------------------------------------------------------
+# public volume operations
+# ---------------------------------------------------------------------------
+
 def newton_potential(grid: VolumeGrid, f, x) -> float:
     """Volume potential of the cell source f.
 
@@ -413,156 +482,46 @@ def newton_potential(grid: VolumeGrid, f, x) -> float:
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.n_cells,):
         raise ValueError("source length does not match cell count")
-    d = grid.centers - x
-    r = np.linalg.norm(d, axis=1)
-    vals = grid.weights / (_4PI * np.maximum(r, _R_FLOOR))
-    own = _containing_cell(grid, x)
-    near = np.nonzero(r < 2.5 * float(np.max(grid.spacing)))[0]
-    for idx in near:
-        vals[idx] = grid.weights[idx] * _cell_kernel_mean(grid, idx, x, self_cell=(idx == own))
-    return float(vals @ f)
-
-
-# ---------------------------------------------------------------------------
-# matrix builders (used by bie and solver); weights/volumes folded in
-# ---------------------------------------------------------------------------
-
-def _layer_matrix(mesh: SurfaceMesh, X, kern, near_correct=True,
-                  vector=False, chunk=256, near_trigger=_NEAR_TRIGGER):
-    X = np.asarray(X, dtype=float).reshape(-1, 3)
-    m, n = len(X), mesh.n_nodes
-    out = np.zeros((m, n, 3)) if vector else np.zeros((m, n))
-    for s in range(0, m, chunk):
-        blk = X[s:s + chunk]
-        vals = kern(blk[:, None, :], mesh.nodes[None, :, :],
-                    np.broadcast_to(mesh.normals[None, :, :], (len(blk), n, 3)))
-        out[s:s + chunk] = vals * (mesh.weights[None, :, None] if vector else mesh.weights[None, :])
-    if near_correct:
-        dist, nearest = mesh.tree.query(X)
-        h = mesh.node_spacing[nearest]
-        for i in np.nonzero(dist < near_trigger * h)[0]:
-            radius = max(_NEAR_RADIUS, dist[i] / h[i] + 2.0)
-            tri_ids = _near_tri_ids(mesh, X[i], radius)
-            cols, delta = _patch_assembly(mesh, X[i], kern, tri_ids)
-            np.add.at(out[i], cols, delta)
-    return out
-
-
-def single_layer_matrix(mesh, X, conv=KernelConvention.NEWTON, near_correct=True,
-                        near_trigger=_NEAR_TRIGGER):
-    out = _layer_matrix(mesh, X, _kern_single_newton, near_correct, near_trigger=near_trigger)
-    return out * _4PI if conv is KernelConvention.UNNORMALIZED else out
-
-
-def double_layer_matrix(mesh, X, conv=KernelConvention.NEWTON, near_correct=True,
-                        near_trigger=_NEAR_TRIGGER):
-    kern = _kern_double_unnorm if conv is KernelConvention.UNNORMALIZED else _kern_double_newton
-    return _layer_matrix(mesh, X, kern, near_correct, near_trigger=near_trigger)
-
-
-def grad_single_layer_matrix(mesh, X, near_correct=True, near_trigger=_NEAR_TRIGGER):
-    return _layer_matrix(mesh, X, _kern_grad_single_newton, near_correct, vector=True,
-                         near_trigger=near_trigger)
-
-
-def grad_double_layer_matrix(mesh, X, near_correct=True, near_trigger=_NEAR_TRIGGER):
-    return _layer_matrix(mesh, X, _kern_grad_double_newton, near_correct, vector=True,
-                         near_trigger=near_trigger)
-
-
-def adjoint_kernel_matrix(mesh: SurfaceMesh, near_correct=True) -> np.ndarray:
-    """K'[i, j] = w_j * dh/dn_{p_i}(P_i - P_j); diagonal is the self-cell completion."""
-    n = mesh.n_nodes
-    d = mesh.nodes[None, :, :] - mesh.nodes[:, None, :]       # P_j - P_i
-    r = np.maximum(np.linalg.norm(d, axis=-1), _R_FLOOR)
-    K = np.einsum("ijd,id->ij", d, mesh.normals) / (_4PI * r ** 3)
-    np.fill_diagonal(K, 0.0)
-    K *= mesh.weights[None, :]
-    if near_correct:
-        for i in range(n):
-            K[i, i] = _pv_disk(mesh, i, "adjoint")
-    return K
-
-
-def adjoint_volume_matrix(mesh: SurfaceMesh, grid: VolumeGrid, chunk=256) -> np.ndarray:
-    """Rows: boundary nodes with their normals; columns: volume cells (volumes folded in).
-
-    Kernel (Y - P0).n0 / (4 pi r^3); cells within 2.5 spacings of a node are
-    integrated over subcells (the 1/r^2 kernel defeats the center rule there).
-    """
-    n, c = mesh.n_nodes, grid.n_cells
-    out = np.empty((n, c))
-    for s in range(0, n, chunk):
-        d = grid.centers[None, :, :] - mesh.nodes[s:s + chunk, None, :]
-        r = np.maximum(np.linalg.norm(d, axis=-1), _R_FLOOR)
-        out[s:s + chunk] = (np.einsum("icd,id->ic", d, mesh.normals[s:s + chunk])
-                            / (_4PI * r ** 3)) * grid.weights[None, :]
-    dx = float(np.max(grid.spacing))
-    for i in range(n):
-        d = grid.centers - mesh.nodes[i]
-        near = np.nonzero(np.linalg.norm(d, axis=1) < 2.5 * dx)[0]
-        for idx in near:
-            pts = _cell_points(grid, idx)
-            dd = pts - mesh.nodes[i]
-            r = np.maximum(np.linalg.norm(dd, axis=-1), _R_FLOOR)
-            k = (dd @ mesh.normals[i]) / (_4PI * r ** 3)
-            out[i, idx] = k.mean() * grid.weights[idx]
-    return out
-
-
-def _near_refine_rows(grid: VolumeGrid, out_block, row_centers, row_offset, r_block,
-                      vector=False):
-    """Replace near entries of a row block by subcell-refined values in place."""
-    dx = float(np.max(grid.spacing))
-    for i in range(len(row_centers)):
-        near = np.nonzero(r_block[i] < 2.5 * dx)[0]
-        if len(near) == 0:
-            continue
-        own = row_offset + i
-        full = near[(grid.full_cell[near]) & (near != own)]
-        if len(full):
-            vals = _batch_refined(grid, full, row_centers[i], vector=vector)
-            out_block[i, full] = grid.weights[full, None] * vals if vector \
-                else grid.weights[full] * vals
-        for idx in near[(~grid.full_cell[near]) | (near == own)]:
-            out_block[i, idx] = grid.weights[idx] * _cell_kernel_mean(
-                grid, idx, row_centers[i], vector=vector, self_cell=(idx == own))
-
-
-def newton_matrix(grid: VolumeGrid, chunk=256) -> np.ndarray:
-    """Cell-to-cell volume potential matrix with subcell-refined near entries."""
-    c = grid.n_cells
-    out = np.empty((c, c))
-    for s in range(0, c, chunk):
-        r = np.linalg.norm(grid.centers[s:s + chunk, None, :] - grid.centers[None, :, :], axis=-1)
-        out[s:s + chunk] = grid.weights[None, :] / (_4PI * np.maximum(r, _R_FLOOR))
-        _near_refine_rows(grid, out[s:s + chunk], grid.centers[s:s + chunk], s, r)
-    return out
-
-
-def grad_newton_matrices(grid: VolumeGrid, chunk=256):
-    """Three (c, c) matrices for the gradient of the volume potential; self cell zero by symmetry."""
-    c = grid.n_cells
-    mats = [np.empty((c, c)) for _ in range(3)]
-    for s in range(0, c, chunk):
-        d = grid.centers[s:s + chunk, None, :] - grid.centers[None, :, :]
-        r = np.maximum(np.linalg.norm(d, axis=-1), _R_FLOOR)
-        g = -d / (_4PI * r ** 3)[..., None] * grid.weights[None, :, None]
-        _near_refine_rows(grid, g, grid.centers[s:s + chunk], s, r, vector=True)
-        for a in range(3):
-            mats[a][s:s + chunk] = g[..., a]
-    return mats
+    _, rows = next(_volume_rows(grid, x, [_containing_cell(grid, x)], gradient=False))
+    return float(rows[0] @ f)
 
 
 def grad_newton_potential(grid: VolumeGrid, f, x) -> np.ndarray:
     """Gradient of the volume potential at x; singular subcell dropped by symmetry."""
     x = as_point(x)
-    f = np.asarray(f, dtype=float)
-    d = x - grid.centers
-    r = np.linalg.norm(d, axis=1)
-    g = -d / (_4PI * np.maximum(r, _R_FLOOR) ** 3)[:, None] * grid.weights[:, None]
-    own = _containing_cell(grid, x)
-    for idx in np.nonzero(r < 2.5 * float(np.max(grid.spacing)))[0]:
-        g[idx] = grid.weights[idx] * _cell_kernel_mean(grid, idx, x, vector=True,
-                                                       self_cell=(idx == own))
-    return g.T @ f
+    _, rows = next(_volume_rows(grid, x, [_containing_cell(grid, x)], gradient=True))
+    return rows[0].T @ np.asarray(f, dtype=float)
+
+
+def newton_matrix(grid: VolumeGrid) -> np.ndarray:
+    """Cell-to-cell volume potential matrix with subcell-refined near entries."""
+    c = grid.n_cells
+    out = np.empty((c, c))
+    for s, rows in _volume_rows(grid, grid.centers, np.arange(c), gradient=False):
+        out[s:s + len(rows)] = rows
+    return out
+
+
+def grad_newton_matrices(grid: VolumeGrid):
+    """Three (c, c) matrices for the gradient of the volume potential; self cell zero by symmetry."""
+    c = grid.n_cells
+    mats = [np.empty((c, c)) for _ in range(3)]
+    for s, rows in _volume_rows(grid, grid.centers, np.arange(c), gradient=True):
+        for a in range(3):
+            mats[a][s:s + len(rows)] = rows[..., a]
+    return mats
+
+
+def adjoint_volume_matrix(mesh: SurfaceMesh, grid: VolumeGrid) -> np.ndarray:
+    """Rows: boundary nodes with their normals; columns: volume cells (volumes folded in).
+
+    Kernel (Y - P0).n0 / (4 pi r^3): the gradient rows at the nodes (no own
+    cell) contracted with the node normals; cells within 2.5 spacings of a
+    node are integrated over subcells (the 1/r^2 kernel defeats the center
+    rule there).
+    """
+    n = mesh.n_nodes
+    out = np.empty((n, grid.n_cells))
+    for s, rows in _volume_rows(grid, mesh.nodes, np.full(n, -1), gradient=True):
+        out[s:s + len(rows)] = np.einsum("icd,id->ic", rows, mesh.normals[s:s + len(rows)])
+    return out

@@ -251,6 +251,23 @@ def _bumpy_sphere():
     return mesh_from_arrays(mesh.nodes * r[:, None], mesh.triangles)
 
 
+def test_vertex_pseudonormals_match_angle_weighted_loop_reference():
+    # the bumpy mesh has uneven corner angles, so an unweighted sum of the face
+    # normals gives different rows
+    mesh = _bumpy_sphere()
+    pn = mesh.pseudonormals
+    assert pn.orient == 1.0
+    ref = np.zeros_like(mesh.nodes)
+    for tri in mesh.triangles:
+        p = mesh.nodes[tri]
+        fn = np.cross(p[1] - p[0], p[2] - p[0])
+        fn /= np.linalg.norm(fn)
+        for k in range(3):
+            u, v = p[(k + 1) % 3] - p[k], p[(k + 2) % 3] - p[k]
+            ref[tri[k]] += np.arccos(u @ v / (np.linalg.norm(u) * np.linalg.norm(v))) * fn
+    np.testing.assert_allclose(pn.normals[-mesh.n_nodes:], ref, rtol=1e-12, atol=1e-12)
+
+
 def test_volume_grid_matches_brute_force_on_non_convex_mesh():
     mesh = _bumpy_sphere()
     # non-convex: some triangle has a node of the mesh strictly outside its plane

@@ -5,12 +5,19 @@ from potdeg.errors import SingularEvaluation
 from potdeg.geometry import make_unit_sphere
 from potdeg.potentials import (
     KernelConvention,
+    _kern_grad_single_newton,
+    _layer_matrix,
     absolute_solid_angle,
+    adjoint_kernel_matrix,
+    adjoint_volume_matrix,
     double_layer,
+    double_layer_matrix,
+    grad_double_layer_matrix,
     grad_newton_potential,
     mean_curvature,
     newton_potential,
     single_layer,
+    single_layer_matrix,
     solid_angle,
 )
 
@@ -45,6 +52,21 @@ def test_solid_angle_principal_value(mesh3):
 def test_solid_angle_at_node_requires_pv_mode(mesh3):
     with pytest.raises(SingularEvaluation):
         solid_angle(mesh3, mesh3.nodes[5])
+
+
+def test_matrix_rows_at_a_node_require_principal_value_mode(mesh3):
+    with pytest.raises(SingularEvaluation):
+        single_layer_matrix(mesh3, mesh3.nodes[:1])
+    X = np.array([[0.1, 0.2, 0.3], mesh3.nodes[7] + 1e-13])
+    with pytest.raises(SingularEvaluation):
+        grad_double_layer_matrix(mesh3, X)
+    with pytest.raises(SingularEvaluation):
+        double_layer_matrix(mesh3, X, near_correct=False)
+
+
+def test_principal_value_rows_need_a_self_cell_completion(mesh3):
+    with pytest.raises(ValueError, match="principal-value"):
+        _layer_matrix(mesh3, mesh3.nodes[:2], _kern_grad_single_newton, principal_value=True)
 
 
 def test_solid_angle_refinement_order():
@@ -194,3 +216,125 @@ def test_grad_newton_potential_ball(grid16):
 def test_mean_curvature_unit_sphere(mesh3):
     kappa = mean_curvature(mesh3)
     assert np.max(np.abs(kappa - 1.0)) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# point evaluators against matrix rows, and the matrix builders against
+# test-local reference formulas
+# ---------------------------------------------------------------------------
+
+def _smooth_density(mesh):
+    P = mesh.nodes
+    return 1.0 + 0.5 * P[:, 2] + 0.3 * P[:, 0] ** 2 - 0.2 * P[:, 0] * P[:, 1]
+
+
+def _near_and_deep_points(mesh, rng):
+    """Probes 0.3, 1 and 1.7 spacings inside, 0.5 outside, and deep interior ones."""
+    i = rng.choice(mesh.n_nodes, 6, replace=False)
+    P0, n0, h = mesh.nodes[i], mesh.normals[i], mesh.node_spacing[i][:, None]
+    near = [P0 - f * h * n0 for f in (0.3, 1.0, 1.7)] + [P0 + 0.5 * h * n0]
+    deep = rng.normal(size=(6, 3))
+    deep *= rng.uniform(0.05, 0.7, (6, 1)) / np.linalg.norm(deep, axis=1)[:, None]
+    return np.concatenate(near + [deep])
+
+
+def _assert_rel(got, want, rtol=1e-13):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def test_layer_point_evaluators_match_matrix_rows(mesh3):
+    X = _near_and_deep_points(mesh3, np.random.default_rng(8))
+    v = _smooth_density(mesh3)
+    sl = single_layer_matrix(mesh3, X) @ v
+    dl = double_layer_matrix(mesh3, X) @ v
+    _assert_rel([single_layer(mesh3, v, x, NT) for x in X], sl)
+    _assert_rel([single_layer(mesh3, v, x, UN) for x in X], FOUR_PI * sl)
+    _assert_rel([double_layer(mesh3, v, x, NT) for x in X], dl)
+    _assert_rel([double_layer(mesh3, v, x, UN) for x in X], -FOUR_PI * dl)
+    gauss = -FOUR_PI * double_layer_matrix(mesh3, X).sum(axis=1)
+    _assert_rel([solid_angle(mesh3, x) for x in X], gauss)
+
+
+def test_principal_value_double_layer_matches_adjoint_kernel_rows(mesh4):
+    # K'[i, j] = -(w_j / w_i) D_pv[j, i], so D_pv v = -K'^T (w v) / w
+    K = adjoint_kernel_matrix(mesh4)
+    w = mesh4.weights
+    v = _smooth_density(mesh4)
+    i = np.random.default_rng(9).choice(mesh4.n_nodes, 10, replace=False)
+    dl = -(K.T @ (w * v))[i] / w[i]
+    gauss = FOUR_PI * (K.T @ w)[i] / w[i]
+    pts = mesh4.nodes[i]
+    _assert_rel([double_layer(mesh4, v, x, NT, principal_value=True) for x in pts], dl)
+    _assert_rel([double_layer(mesh4, v, x, UN, principal_value=True) for x in pts],
+                -FOUR_PI * dl)
+    _assert_rel([solid_angle(mesh4, x, principal_value=True) for x in pts], gauss)
+
+
+def _mean_curvature_loop(mesh):
+    n = mesh.n_nodes
+    acc = np.zeros(n)
+    cnt = np.zeros(n)
+    for (i, j, k) in mesh.triangles:
+        for a, b in ((i, j), (j, k), (k, i)):
+            for p, q in ((a, b), (b, a)):
+                d = mesh.nodes[p] - mesh.nodes[q]
+                acc[p] += -2.0 * (d @ mesh.normals[q]) / (d @ d)
+                cnt[p] += 1
+    return acc / np.maximum(cnt, 1)
+
+
+def _adjoint_kernel_reference(mesh):
+    """K'[i, j] = w_j dh/dn_{p_i}(P_i - P_j), diagonal -kappa rho / 4."""
+    d = mesh.nodes[None, :, :] - mesh.nodes[:, None, :]
+    r = np.maximum(np.linalg.norm(d, axis=-1), 1e-30)
+    K = np.einsum("ijd,id->ij", d, mesh.normals) / (FOUR_PI * r ** 3)
+    K *= mesh.weights[None, :]
+    rho = np.sqrt(mesh.weights / np.pi)
+    np.fill_diagonal(K, -_mean_curvature_loop(mesh) * rho / 4.0)
+    return K
+
+
+def test_adjoint_kernel_matrix_matches_reference(mesh4):
+    K = adjoint_kernel_matrix(mesh4)
+    ref = _adjoint_kernel_reference(mesh4)
+    assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_adjoint_volume_matrix_matches_loop_reference(mesh3, grid16):
+    """(Y - P_i).n_i / (4 pi r^3) per cell; subcell means within 2.5 spacings."""
+    t = (np.arange(4) + 0.5) / 4 - 0.5
+    off = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
+    dx = float(np.max(grid16.spacing))
+    ref = np.empty((mesh3.n_nodes, grid16.n_cells))
+    for i, (P0, n0) in enumerate(zip(mesh3.nodes, mesh3.normals)):
+        d = grid16.centers - P0
+        r = np.linalg.norm(d, axis=1)
+        ref[i] = (d @ n0) / (FOUR_PI * r ** 3) * grid16.weights
+        for c in np.nonzero(r < 2.5 * dx)[0]:
+            pts = grid16.partial_points.get(c)
+            if pts is None:
+                pts = grid16.centers[c] + off * grid16.spacing
+            dd = pts - P0
+            rr = np.linalg.norm(dd, axis=1)
+            ref[i, c] = np.mean((dd @ n0) / (FOUR_PI * rr ** 3)) * grid16.weights[c]
+    K = adjoint_volume_matrix(mesh3, grid16)
+    assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_volume_point_evaluators_match_matrix_rows(grid16, workspace16):
+    rng = np.random.default_rng(10)
+    f = rng.normal(size=grid16.n_cells)
+    cut = np.nonzero(~grid16.full_cell)[0]
+    rows = np.concatenate([rng.choice(grid16.n_cells, 12, replace=False),
+                           rng.choice(cut, 6, replace=False)])
+    X = grid16.centers[rows]
+    _assert_rel([newton_potential(grid16, f, x) for x in X], workspace16.NM[rows] @ f)
+    grad = np.stack([workspace16.GNM[a][rows] @ f for a in range(3)], axis=1)
+    _assert_rel([grad_newton_potential(grid16, f, x) for x in X], grad)
+
+
+def test_mean_curvature_matches_loop_reference():
+    mesh = make_unit_sphere(3)
+    np.testing.assert_allclose(mean_curvature(mesh), _mean_curvature_loop(mesh),
+                               rtol=1e-14, atol=0)
