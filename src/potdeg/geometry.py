@@ -413,6 +413,10 @@ class VolumeGrid:
         return (self.box_hi - self.box_lo) / np.asarray(self.shape, dtype=float)
 
 
+# unit-cube offsets of the 4^3 subcell centers: cut cells here, near cells in potentials
+_SUBCELL_OFFSETS = (np.indices((4, 4, 4)).reshape(3, -1).T + 0.5) / 4 - 0.5
+
+
 def box_cell_centers(box_lo, box_hi, shape):
     lo = np.asarray(box_lo, dtype=float)
     hi = np.asarray(box_hi, dtype=float)
@@ -422,8 +426,7 @@ def box_cell_centers(box_lo, box_hi, shape):
     return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
 
-def volume_grid_from_mesh(mesh: SurfaceMesh, shape, box_lo=None, box_hi=None,
-                          subcells: int = 4) -> VolumeGrid:
+def volume_grid_from_mesh(mesh: SurfaceMesh, shape, box_lo=None, box_hi=None) -> VolumeGrid:
     """Grid of the mesh bounding box with partial-volume weights at the boundary.
 
     Cell membership is exact for the flat polyhedron (sharp down to the
@@ -435,7 +438,7 @@ def volume_grid_from_mesh(mesh: SurfaceMesh, shape, box_lo=None, box_hi=None,
     `winding > 2 pi` of an outward-wound mesh.  An inward-wound mesh gives
     the same grid.
 
-    Cells straddling the surface are split into subcells^3 pieces; the cell
+    Cells straddling the surface are split into 4^3 subcells; the cell
     gets the inside fraction as its weight and the inside centroid as its
     center, which keeps the mass distribution right to O(dx^2) for singular
     kernels integrated nearby.
@@ -461,10 +464,8 @@ def volume_grid_from_mesh(mesh: SurfaceMesh, shape, box_lo=None, box_hi=None,
     full = ~straddle
     sub_points = {}
     cand = np.nonzero(straddle)[0]
-    if len(cand) and subcells > 1:
-        t = (np.arange(subcells) + 0.5) / subcells - 0.5
-        gx, gy, gz = np.meshgrid(t, t, t, indexing="ij")
-        off = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1) * spacing[None, :]
+    if len(cand):
+        off = _SUBCELL_OFFSETS * spacing[None, :]
         pts = (centers[cand][:, None, :] + off[None, :, :]).reshape(-1, 3)
         sub_in = points_inside(mesh, pts).reshape(len(cand), -1)
         frac = sub_in.mean(axis=1)

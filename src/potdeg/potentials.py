@@ -9,24 +9,25 @@ reproduction of the representation formula (see tests).
 
 Every layer evaluation, a point value or a dense operator, goes through one
 row routine, _layer_matrix: the vertex rule with the node weights folded in.
-A target closer than two node spacings to its nearest node gets the
-near-field patch correction: the triangles incident to the nodes within four
-spacings are recomputed by 4-way recursive flat-triangle subdivision with
-barycentric density interpolation.  A principal-value row (an on-surface
-target) instead excludes its nearest node and puts the analytic completion
-of that node's own quadrature cell (_pv_disk) in its column; kernels without
-such a completion (the gradients) refuse principal-value mode.  A point
-evaluator is one row of the matrix times the density.
+Targets closer than two node spacings to their nearest node get the near
+patch in one array pass per row block (_near_patch): each (target, triangle)
+pair whose triangle touches a node within four spacings is recomputed by
+4-way flat-triangle subdivision to a depth set by its distance, minus its
+vertex-rule share, and one np.add.at scatters the corrections.  A
+principal-value row (an on-surface target) instead excludes its nearest node
+and puts the analytic completion of that node's own quadrature cell
+(_pv_disk) in its column; kernels without one (the gradients) refuse it.  A
+point evaluator is one row of the matrix times the density.
 
 The adjoint double layer K' is the weighted transpose of the principal-value
 Newton double layer D_pv at the nodes, K'[i, j] = -(w_j / w_i) D_pv[j, i];
 the identity also gives its diagonal, -kappa rho / 4.
 
 Every volume evaluation goes through one chunked row routine, _volume_rows:
-the center rule, with cells within 2.5 spacings of a target integrated over
-subcells and the target's own cell (if any) given the singular-subcell rule.
-The adjoint volume operator K'_vol is the gradient rows at the nodes
-contracted with the node normals, (Y - P0).n0 / (4 pi r^3).
+the center rule, then one array pass over the (target, cell) pairs within
+2.5 spacings (_near_refine_rows), each the masked mean over the cell's
+subcell points with the equal-volume-ball value at the target's own subcell.
+K'_vol is the gradient rows at the nodes contracted with the node normals.
 """
 
 from __future__ import annotations
@@ -37,7 +38,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import SingularEvaluation
-from .geometry import SurfaceMesh, VolumeGrid, _directed_edges, as_point, triangle_areas
+from .geometry import (
+    _SUBCELL_OFFSETS,
+    SurfaceMesh,
+    VolumeGrid,
+    _directed_edges,
+    as_point,
+    triangle_areas,
+)
 
 _4PI = 4.0 * np.pi
 _R_FLOOR = 1e-30  # large enough that r**3 does not underflow to 0
@@ -148,26 +156,33 @@ def _subdiv_bary(depth: int) -> np.ndarray:
 
 _NEAR_TRIGGER = 2.0   # correct when closer than this many spacings
 _NEAR_RADIUS = 4.0    # panels within this many spacings get recomputed
+_PASS_POINTS = 1 << 15  # quadrature points per block of a near-field array pass
 
 
-def _near_tri_ids(mesh: SurfaceMesh, x):
-    h = mesh.local_spacing(x)
-    idx = mesh.tree.query_ball_point(np.asarray(x, dtype=float), _NEAR_RADIUS * h)
-    tri = set()
-    for i in idx:
-        tri.update(mesh.incident_triangles[i].tolist())
-    return np.array(sorted(tri), dtype=int)
+def _near_pairs(mesh: SurfaceMesh, X, h):
+    """(row, triangle) pairs: the triangles incident to the nodes within _NEAR_RADIUS h of X.
+
+    Sorted by row, then triangle.  The ball nodes are expanded to their
+    triangles through the flat (node-major) array of mesh.incident_triangles.
+    """
+    balls = mesh.tree.query_ball_point(X, _NEAR_RADIUS * h)
+    rows = np.repeat(np.arange(len(X)), np.fromiter(map(len, balls), dtype=int, count=len(X)))
+    nodes = np.concatenate(balls).astype(int)
+    cnt = np.fromiter(map(len, mesh.incident_triangles), dtype=int, count=mesh.n_nodes)
+    incident = np.concatenate(mesh.incident_triangles)
+    deg = cnt[nodes]
+    pos = np.repeat(np.cumsum(cnt)[nodes] - np.cumsum(deg), deg) + np.arange(deg.sum())
+    n_tri = len(mesh.triangles)
+    return np.divmod(np.unique(np.repeat(rows, deg) * n_tri + incident[pos]), n_tri)
 
 
-def _patch_group(mesh, x, kern, tri_ids, depth):
-    """Correction for one group of triangles at a common subdivision depth."""
-    verts = mesh.triangles[tri_ids]                     # (T, 3)
+def _patch_delta(mesh, kern, x, tri, depth):
+    """(cols, delta) of the triangles tri for the targets x (one per triangle) at one depth."""
+    verts = mesh.triangles[tri]                         # (T, 3)
     P = mesh.nodes[verts]                               # (T, 3, 3)
     N = mesh.normals[verts]                             # (T, 3, 3)
-    A = triangle_areas(mesh.nodes, mesh.triangles[tri_ids])
-    bary = _subdiv_bary(depth)                          # (S, 3, 3)
-    cb = bary.mean(axis=1)                              # (S, 3) centroid barycentrics
-    S = len(cb)
+    A = triangle_areas(mesh.nodes, verts)
+    cb = _subdiv_bary(depth).mean(axis=1)               # (S, 3) centroid barycentrics
     cent = np.einsum("sk,tkd->tsd", cb, P)              # (T, S, 3)
     # flat panel normals, oriented to agree with the vertex normals; interpolated
     # normals would be inconsistent with the flat positions (an O(h^2) offset under
@@ -176,43 +191,37 @@ def _patch_group(mesh, x, kern, tri_ids, depth):
     flat /= np.maximum(np.linalg.norm(flat, axis=-1, keepdims=True), _R_FLOOR)
     flip = np.einsum("td,td->t", flat, N.mean(axis=1)) < 0
     flat[flip] = -flat[flip]
-    nrm = np.broadcast_to(flat[:, None, :], cent.shape)
-    k_sub = kern(x, cent.reshape(-1, 3), nrm.reshape(-1, 3))
-    trail = k_sub.shape[1:]                             # () or (3,) for gradient kernels
-    k_sub = k_sub.reshape((len(tri_ids), S) + trail)
+    k_sub = kern(x[:, None, :], cent, np.repeat(flat[:, None, :], len(cb), axis=1))
     contrib = np.einsum("ts...,t,sk->tk...", k_sub, A / 4 ** depth, cb)
-    kv = kern(x, P.reshape(-1, 3), N.reshape(-1, 3)).reshape((len(tri_ids), 3) + trail)
-    share = np.einsum("t,tk...->tk...", A / 3.0, kv)
-    delta = contrib - share
-    return verts.reshape(-1), delta.reshape((-1,) + trail)
+    share = np.einsum("t,tk...->tk...", A / 3.0, kern(x[:, None, :], P, N))
+    return verts.reshape(-1), (contrib - share).reshape((-1,) + k_sub.shape[2:])
 
 
-def _patch_assembly(mesh: SurfaceMesh, x, kern, tri_ids):
-    """Subdivided-quadrature-minus-vertex-share correction, split per column node.
+def _near_patch(mesh: SurfaceMesh, X, h, kern):
+    """Near-field patch corrections at the targets X with local spacings h.
 
-    Each triangle is subdivided to a depth set by its distance from x (a
-    geometric ladder: deeper where closer, at most 6), so the outer corrected
-    panels stay cheap.  Returns (cols, delta): node indices (with repeats) and
-    the values to add to the corresponding vertex-rule terms; delta has shape
-    (k,) for scalar kernels, (k, 3) for gradient kernels.
+    The triangles incident to the nodes within _NEAR_RADIUS h of a target are
+    recomputed by 4-way subdivision to a depth set per (target, triangle)
+    pair by its distance (a geometric ladder: deeper where closer, at most 6),
+    minus their vertex-rule share.  Returns (row, col, delta), ordered by
+    depth, then row, then triangle, so a scatter with np.add.at adds the terms
+    of each entry in that order; delta has shape (k,) for scalar kernels and
+    (k, 3) for gradient kernels.
     """
-    if len(tri_ids) == 0:
-        return np.empty(0, dtype=int), np.empty(0)
-    x = np.asarray(x, dtype=float)
-    verts = mesh.triangles[tri_ids]
-    P = mesh.nodes[verts]
-    dmin = np.linalg.norm(P - x, axis=-1).min(axis=1)
+    row, tri = _near_pairs(mesh, X, h)
+    P = mesh.nodes[mesh.triangles[tri]]
+    dmin = np.linalg.norm(P - X[row, None, :], axis=-1).min(axis=1)
     edge = np.linalg.norm(P - np.roll(P, 1, axis=1), axis=-1).max(axis=1)
-    with np.errstate(divide="ignore"):
-        depth = np.clip(np.ceil(np.log2(np.maximum(edge / np.maximum(dmin, 1e-12), 1e-9))) + 2,
-                        1, 6).astype(int)
-    depth[dmin <= 1e-12] = 5                            # triangles touching x itself
-    all_cols, all_delta = [], []
+    depth = np.clip(np.ceil(np.log2(edge / dmin)) + 2, 1, 6).astype(int)
+    parts = []
     for d in np.unique(depth):
-        cols, delta = _patch_group(mesh, x, kern, tri_ids[depth == d], int(d))
-        all_cols.append(cols)
-        all_delta.append(delta)
-    return np.concatenate(all_cols), np.concatenate(all_delta)
+        sel = np.nonzero(depth == d)[0]
+        step = _PASS_POINTS // 4 ** d                # >= 8, as 4^6 <= _PASS_POINTS
+        for b in range(0, len(sel), step):
+            pair = sel[b:b + step]
+            parts.append((np.repeat(row[pair], 3),
+                          *_patch_delta(mesh, kern, X[row[pair]], tri[pair], int(d))))
+    return [np.concatenate(p) for p in zip(*parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +253,20 @@ def _layer_matrix(mesh: SurfaceMesh, X, kern, principal_value=False, near_correc
     trail = np.shape(kern(mesh.nodes[0], mesh.nodes[1:2], mesh.normals[1:2]))[1:]
     out = np.empty((len(X), mesh.n_nodes) + trail)
     w = mesh.weights.reshape((-1,) + (1,) * len(trail))
+    # spacings that set the near-patch trigger; 0 turns the patch off
+    h = mesh.node_spacing[nearest] if near_correct and not principal_value else np.zeros(len(X))
     for s in range(0, len(X), _CHUNK):
         # vals stays alive while the next block is computed, so the allocator
         # reuses the block temporaries instead of returning and re-faulting
         # them (about 20 % of the g02 build at level 4 otherwise)
         vals = kern(X[s:s + _CHUNK, None, :], mesh.nodes, mesh.normals)
         out[s:s + _CHUNK] = vals * w
+        i = np.nonzero(dist[s:s + _CHUNK] < _NEAR_TRIGGER * h[s:s + _CHUNK])[0]
+        if len(i):
+            row, col, delta = _near_patch(mesh, X[s + i], h[s + i], kern)
+            np.add.at(out[s:s + _CHUNK], (i[row], col), delta)
     if principal_value:
         out[np.arange(len(X)), nearest] = _pv_disk(mesh, nearest, kern.pv_kind)
-    elif near_correct:
-        for i in np.nonzero(dist < _NEAR_TRIGGER * mesh.node_spacing[nearest])[0]:
-            cols, delta = _patch_assembly(mesh, X[i], kern, _near_tri_ids(mesh, X[i]))
-            np.add.at(out[i], cols, delta)
     return out
 
 
@@ -367,16 +378,6 @@ def adjoint_kernel_matrix(mesh: SurfaceMesh) -> np.ndarray:
 # volume rows: the one evaluation path of every volume potential
 # ---------------------------------------------------------------------------
 
-def _unit_subcell_offsets(k):
-    """Unit-cube offsets of the k^3 subcell centers, in (-1/2, 1/2)^3."""
-    t = (np.arange(k) + 0.5) / k - 0.5
-    gx, gy, gz = np.meshgrid(t, t, t, indexing="ij")
-    return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-
-
-_SUBCELL_OFFSETS = _unit_subcell_offsets(4)
-
-
 def _newton_kernel(d, gradient):
     """h = 1/(4 pi r) at offsets d = x - y, or grad_x h = -d / (4 pi r^3); also r.
 
@@ -389,65 +390,58 @@ def _newton_kernel(d, gradient):
     return 1.0 / (_4PI * r), r
 
 
-def _cell_points(grid: VolumeGrid, idx: int):
-    """Quadrature points representing cell idx: subcell centers (inside ones for cut cells)."""
-    if idx in grid.partial_points:
-        return grid.partial_points[idx]
-    return grid.centers[idx] + _SUBCELL_OFFSETS * grid.spacing[None, :]
-
-
-def _cell_kernel_mean(grid: VolumeGrid, idx: int, x, gradient, self_cell):
-    """Mean of h (or grad h) over the cell's subcell points.
-
-    When x lies in this cell, the subcell nearest x gets the equal-volume-ball
-    value (and zero gradient), so the singularity is handled at subcell scale.
-    """
-    pts = _cell_points(grid, idx)
-    vals, r = _newton_kernel(x - pts, gradient)
-    if self_cell:
-        sub_vol = grid.weights[idx] / len(pts)
-        r_eq = (3.0 * sub_vol / _4PI) ** (1.0 / 3.0)
-        vals[np.argmin(r)] = 0.0 if gradient else (r_eq ** 2 / 2.0) / sub_vol
-    return vals.mean(axis=0)
-
-
-def _batch_refined(grid: VolumeGrid, idxs, x, gradient):
-    """Subcell-mean kernel values for several full cells at once."""
-    off = _SUBCELL_OFFSETS * grid.spacing[None, :]
-    pts = grid.centers[idxs][:, None, :] + off[None, :, :]   # (c, s, 3)
-    return _newton_kernel(x - pts, gradient)[0].mean(axis=1)
-
-
 def _containing_cell(grid: VolumeGrid, x) -> int:
     """Index of the kept cell whose box contains x, or -1."""
-    rel = (x - grid.box_lo) / grid.spacing
-    ijk = np.floor(rel).astype(int)
+    ijk = np.floor((x - grid.box_lo) / grid.spacing).astype(int)
     if np.any(ijk < 0) or np.any(ijk >= np.asarray(grid.shape)):
         return -1
     flat = (ijk[0] * grid.shape[1] + ijk[1]) * grid.shape[2] + ijk[2]
-    hits = np.nonzero(grid.inside_index == flat)[0]
-    return int(hits[0]) if len(hits) else -1
+    j = int(np.searchsorted(grid.inside_index, flat))     # inside_index is ascending
+    return j if j < len(grid.inside_index) and grid.inside_index[j] == flat else -1
 
 
-def _near_refine_rows(grid: VolumeGrid, rows, X, own, r):
-    """Replace the entries of cells within 2.5 spacings by subcell-refined values in place.
+def _subcell_table(grid: VolumeGrid):
+    """(c, s, 3) quadrature points of every cell and the (c, s) mask of the real ones.
 
-    own[i] is the cell holding target i (-1: none); it gets the singular-subcell
-    rule.  rows has shape (m, c) for h and (m, c, 3) for its gradient.
+    A full cell has the s = 4^3 subcell centers; a cut cell has its inside
+    subcell centers first and padding after them.
+    """
+    pts = grid.centers[:, None, :] + _SUBCELL_OFFSETS * grid.spacing
+    real = np.ones(pts.shape[:2], dtype=bool)
+    if grid.partial_points:
+        cut = np.fromiter(grid.partial_points, dtype=int, count=len(grid.partial_points))
+        k = np.fromiter(map(len, grid.partial_points.values()), dtype=int, count=len(cut))
+        real[cut] = np.arange(len(_SUBCELL_OFFSETS)) < k[:, None]
+        c, s = np.nonzero(real[cut])
+        pts[cut[c], s] = np.concatenate(list(grid.partial_points.values()))
+    return pts, real
+
+
+def _near_refine_rows(grid: VolumeGrid, table, rows, X, own, r):
+    """Replace the entries of cells within 2.5 spacings by subcell means in place.
+
+    One pass over the (target, cell) pairs in blocks of _PASS_POINTS points:
+    the mean of h (or grad h) over the cell's real points in table.  own[i] is
+    the cell holding target i (-1: none); there, the subcell nearest the
+    target gets the equal-volume-ball value (and zero gradient).  rows has
+    shape (m, c) for h and (m, c, 3) for its gradient.
     """
     gradient = rows.ndim == 3
-    dx = float(np.max(grid.spacing))
-    for i, x in enumerate(X):
-        near = np.nonzero(r[i] < 2.5 * dx)[0]
-        batch = grid.full_cell[near] & (near != own[i])
-        full = near[batch]
-        if len(full):
-            vals = _batch_refined(grid, full, x, gradient)
-            rows[i, full] = grid.weights[full, None] * vals if gradient \
-                else grid.weights[full] * vals
-        for idx in near[~batch]:
-            rows[i, idx] = grid.weights[idx] * _cell_kernel_mean(
-                grid, idx, x, gradient, self_cell=(idx == own[i]))
+    pts, real = table
+    i, j = np.nonzero(r < 2.5 * float(np.max(grid.spacing)))
+    step = _PASS_POINTS // pts.shape[1]
+    for b in range(0, len(i), step):
+        ib, jb = i[b:b + step], j[b:b + step]
+        vals, rr = _newton_kernel(X[ib, None, :] - pts[jb], gradient)
+        ok = real[jb]
+        k = np.nonzero(jb == own[ib])[0]
+        sub_vol = grid.weights[jb[k]] / ok[k].sum(axis=1)
+        r_eq = (3.0 * sub_vol / _4PI) ** (1.0 / 3.0)
+        nearest = np.argmin(np.where(ok[k], rr[k], np.inf), axis=1)
+        vals[k, nearest] = 0.0 if gradient else (r_eq ** 2 / 2.0) / sub_vol
+        # masked mean over each pair's points, one (1, s) @ (s, 1 or 3) product per pair
+        mean = (ok[:, None, :] @ vals.reshape(ok.shape + (-1,)))[:, 0] / ok.sum(axis=1)[:, None]
+        rows[ib, jb] = (grid.weights[jb, None] * mean).reshape((len(jb),) + rows.shape[2:])
 
 
 def _volume_rows(grid: VolumeGrid, X, own, gradient):
@@ -458,11 +452,13 @@ def _volume_rows(grid: VolumeGrid, X, own, gradient):
     of _CHUNK targets keep the (m, c, 3) temporaries small.
     """
     X = np.asarray(X, dtype=float).reshape(-1, 3)
+    own = np.asarray(own)
     w = grid.weights[:, None] if gradient else grid.weights
+    table = _subcell_table(grid)
     for s in range(0, len(X), _CHUNK):
         rows, r = _newton_kernel(X[s:s + _CHUNK, None, :] - grid.centers, gradient)
         rows *= w
-        _near_refine_rows(grid, rows, X[s:s + _CHUNK], own[s:s + _CHUNK], r)
+        _near_refine_rows(grid, table, rows, X[s:s + _CHUNK], own[s:s + _CHUNK], r)
         yield s, rows
 
 

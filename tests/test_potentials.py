@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
+from potdeg.bie import g02_normal_derivative
 from potdeg.errors import SingularEvaluation
-from potdeg.geometry import make_unit_sphere
+from potdeg.geometry import make_unit_sphere, triangle_areas
 from potdeg.potentials import (
     KernelConvention,
+    _containing_cell,
+    _kern_double_newton,
+    _kern_grad_double_newton,
     _kern_grad_single_newton,
+    _kern_single_newton,
     _layer_matrix,
+    _subdiv_bary,
     absolute_solid_angle,
     adjoint_kernel_matrix,
     adjoint_volume_matrix,
@@ -14,6 +20,7 @@ from potdeg.potentials import (
     double_layer_matrix,
     grad_double_layer_matrix,
     grad_newton_potential,
+    grad_single_layer_matrix,
     mean_curvature,
     newton_potential,
     single_layer,
@@ -338,3 +345,152 @@ def test_mean_curvature_matches_loop_reference():
     mesh = make_unit_sphere(3)
     np.testing.assert_allclose(mean_curvature(mesh), _mean_curvature_loop(mesh),
                                rtol=1e-14, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the near-field array passes against test-local copies of the per-target loops
+# they replaced
+# ---------------------------------------------------------------------------
+
+def _near_tri_ids_loop(mesh, x):
+    idx = mesh.tree.query_ball_point(x, 4.0 * mesh.local_spacing(x))
+    tri = set()
+    for i in idx:
+        tri.update(mesh.incident_triangles[i].tolist())
+    return np.array(sorted(tri), dtype=int)
+
+
+def _patch_group_loop(mesh, x, kern, tri_ids, depth):
+    verts = mesh.triangles[tri_ids]
+    P = mesh.nodes[verts]
+    N = mesh.normals[verts]
+    A = triangle_areas(mesh.nodes, mesh.triangles[tri_ids])
+    cb = _subdiv_bary(depth).mean(axis=1)
+    S = len(cb)
+    cent = np.einsum("sk,tkd->tsd", cb, P)
+    flat = np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
+    flat /= np.maximum(np.linalg.norm(flat, axis=-1, keepdims=True), 1e-30)
+    flip = np.einsum("td,td->t", flat, N.mean(axis=1)) < 0
+    flat[flip] = -flat[flip]
+    nrm = np.broadcast_to(flat[:, None, :], cent.shape)
+    k_sub = kern(x, cent.reshape(-1, 3), nrm.reshape(-1, 3))
+    trail = k_sub.shape[1:]
+    k_sub = k_sub.reshape((len(tri_ids), S) + trail)
+    contrib = np.einsum("ts...,t,sk->tk...", k_sub, A / 4 ** depth, cb)
+    kv = kern(x, P.reshape(-1, 3), N.reshape(-1, 3)).reshape((len(tri_ids), 3) + trail)
+    share = np.einsum("t,tk...->tk...", A / 3.0, kv)
+    return verts.reshape(-1), (contrib - share).reshape((-1,) + trail)
+
+
+def _patch_assembly_loop(mesh, x, kern, tri_ids):
+    P = mesh.nodes[mesh.triangles[tri_ids]]
+    dmin = np.linalg.norm(P - x, axis=-1).min(axis=1)
+    edge = np.linalg.norm(P - np.roll(P, 1, axis=1), axis=-1).max(axis=1)
+    depth = np.clip(np.ceil(np.log2(np.maximum(edge / np.maximum(dmin, 1e-12), 1e-9))) + 2,
+                    1, 6).astype(int)
+    parts = [_patch_group_loop(mesh, x, kern, tri_ids[depth == d], int(d))
+             for d in np.unique(depth)]
+    return np.concatenate([c for c, _ in parts]), np.concatenate([v for _, v in parts])
+
+
+def _layer_matrix_loop(mesh, X, kern):
+    """Vertex-rule rows, then the near patch one target at a time."""
+    out = _layer_matrix(mesh, X, kern, near_correct=False)
+    dist, nearest = mesh.tree.query(X)
+    for i in np.nonzero(dist < 2.0 * mesh.node_spacing[nearest])[0]:
+        cols, delta = _patch_assembly_loop(mesh, X[i], kern, _near_tri_ids_loop(mesh, X[i]))
+        np.add.at(out[i], cols, delta)
+    return out
+
+
+@pytest.mark.parametrize("builder, kern", [
+    (single_layer_matrix, _kern_single_newton),
+    (double_layer_matrix, _kern_double_newton),
+    (grad_single_layer_matrix, _kern_grad_single_newton),
+    (grad_double_layer_matrix, _kern_grad_double_newton),
+])
+def test_layer_matrices_match_per_target_patch_loop(mesh3, builder, kern):
+    # near targets 0.3, 1 and 1.7 spacings inside, shuffled among deep ones
+    # over two row blocks
+    rng = np.random.default_rng(11)
+    i = rng.choice(mesh3.n_nodes, 30, replace=False)
+    P0, n0, h = mesh3.nodes[i], mesh3.normals[i], mesh3.node_spacing[i][:, None]
+    deep = rng.normal(size=(200, 3))
+    deep *= rng.uniform(0.05, 0.7, (200, 1)) / np.linalg.norm(deep, axis=1)[:, None]
+    X = rng.permutation(np.concatenate([P0 - f * h * n0 for f in (0.3, 1.0, 1.7)] + [deep]))
+    np.testing.assert_array_equal(builder(mesh3, X), _layer_matrix_loop(mesh3, X, kern))
+
+
+_UNIT_SUBCELLS = np.stack(np.meshgrid(*[(np.arange(4) + 0.5) / 4 - 0.5] * 3, indexing="ij"),
+                          axis=-1).reshape(-1, 3)
+
+
+def _cell_kernel_mean_loop(grid, idx, x, gradient, self_cell):
+    pts = grid.partial_points.get(idx)
+    if pts is None:
+        pts = grid.centers[idx] + _UNIT_SUBCELLS * grid.spacing
+    d = x - pts
+    r = np.maximum(np.linalg.norm(d, axis=-1), 1e-30)
+    vals = -d / (FOUR_PI * r ** 3)[:, None] if gradient else 1.0 / (FOUR_PI * r)
+    if self_cell:
+        sub_vol = grid.weights[idx] / len(pts)
+        r_eq = (3.0 * sub_vol / FOUR_PI) ** (1.0 / 3.0)
+        vals[np.argmin(r)] = 0.0 if gradient else (r_eq ** 2 / 2.0) / sub_vol
+    return vals.mean(axis=0)
+
+
+def _volume_rows_loop(grid, X, own, gradient):
+    """Center-rule rows, then the near cells one target and one cell at a time."""
+    dx = float(np.max(grid.spacing))
+    rows = []
+    for x, o in zip(X, own):
+        d = x - grid.centers
+        r = np.maximum(np.linalg.norm(d, axis=-1), 1e-30)
+        row = (-d / (FOUR_PI * r ** 3)[:, None] * grid.weights[:, None] if gradient
+               else grid.weights / (FOUR_PI * r))
+        for c in np.nonzero(r < 2.5 * dx)[0]:
+            row[c] = grid.weights[c] * _cell_kernel_mean_loop(grid, c, x, gradient, c == o)
+        rows.append(row)
+    return np.array(rows)
+
+
+def test_volume_rows_match_per_cell_loop(mesh3, grid16, workspace16):
+    rng = np.random.default_rng(12)
+    cut = np.nonzero(~grid16.full_cell)[0]
+    full = np.nonzero(grid16.full_cell)[0]
+    rows = np.concatenate([rng.choice(full, 10, replace=False), rng.choice(cut, 10, replace=False)])
+    X = grid16.centers[rows]
+    _assert_rel(workspace16.NM[rows], _volume_rows_loop(grid16, X, rows, False), rtol=1e-14)
+    grad = np.stack([workspace16.GNM[a][rows] for a in range(3)], axis=-1)
+    _assert_rel(grad, _volume_rows_loop(grid16, X, rows, True), rtol=1e-14)
+    nodes = rng.choice(mesh3.n_nodes, 20, replace=False)
+    kvol = np.einsum("icd,id->ic", _volume_rows_loop(grid16, mesh3.nodes[nodes],
+                                                     np.full(20, -1), True),
+                     mesh3.normals[nodes])
+    _assert_rel(adjoint_volume_matrix(mesh3, grid16)[nodes], kvol, rtol=1e-14)
+
+
+def test_g02_matches_the_unchunked_product(mesh3):
+    A1 = _smooth_density(mesh3)
+    n = mesh3.n_nodes
+    eps = 2.0 * mesh3.node_spacing
+    probes = np.concatenate([mesh3.nodes - (k * eps)[:, None] * mesh3.normals
+                             for k in (1.0, 2.0, 3.0)])
+    D = double_layer_matrix(mesh3, probes, near_correct=False)
+    f1, f2, f3 = D[:n] @ A1, D[n:2 * n] @ A1, D[2 * n:] @ A1
+    want = (2.5 * f1 - 4.0 * f2 + 1.5 * f3) / eps
+    # the stencil cancels most of its terms (a constant trace gives g02 near 0
+    # from fields near -1), so rounding is measured on the scale of the terms
+    scale = np.max((2.5 * np.abs(f1) + 4.0 * np.abs(f2) + 1.5 * np.abs(f3)) / eps)
+    assert np.max(np.abs(g02_normal_derivative(mesh3, A1) - want)) <= 1e-14 * scale
+
+
+def test_containing_cell(grid16):
+    cut = np.nonzero(~grid16.full_cell)[0]
+    for j in (cut[0], cut[-1], int(np.argmax(grid16.full_cell))):
+        pts = grid16.partial_points.get(j, grid16.centers[j][None, :])
+        assert _containing_cell(grid16, pts[0]) == j
+    # the corner box cell lies outside the unit ball, so it is not kept
+    assert 0 not in grid16.inside_index
+    assert _containing_cell(grid16, grid16.box_lo + 0.5 * grid16.spacing) == -1
+    assert _containing_cell(grid16, np.array([1.5, 0.0, 0.0])) == -1
