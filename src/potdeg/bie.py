@@ -5,6 +5,11 @@ The Neumann data A5 = du/dn solves the second-kind equation
 (Newton convention) and g02 is the interior normal-derivative limit of the
 double layer of the Dirichlet data A1.  The solution is then evaluated by
 u = SL[A5] + DL[A1] + NP[psi1].
+
+g02 is a fixed linear map of A1 that depends only on the mesh.  NeumannSystem
+builds it once, as a dense (n, n) operator of n^2 * 8 bytes (3.3 MB at
+icosphere level 3, 52 MB at level 4, 840 MB at level 5), on the first solve,
+and every later solve applies it as one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -14,10 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgecon
 
 from .errors import IllConditioned, SingularEvaluation
 from .geometry import SurfaceMesh, VolumeGrid, as_point
 from .potentials import (
+    _CHUNK,
     KernelConvention,
     adjoint_kernel_matrix,
     adjoint_volume_matrix,
@@ -32,18 +39,20 @@ COND_LIMIT = 1e8
 
 @dataclass
 class NeumannSystem:
-    """Dense Nystrom discretization of (1/2 I - K')."""
+    """Dense Nystrom discretization of (1/2 I - K'), its LU and the cached g02 operator."""
 
     mesh: SurfaceMesh
     matrix: np.ndarray
+    lu: tuple
     condition_estimate: float
-    _lu: tuple = None
+    _g02: np.ndarray = None
 
     @property
-    def lu(self):
-        if self._lu is None:
-            self._lu = lu_factor(self.matrix)
-        return self._lu
+    def g02(self) -> np.ndarray:
+        """(n, n) map from the Dirichlet data A1 to g02; built on first use."""
+        if self._g02 is None:
+            self._g02 = _g02_operator(self.mesh)
+        return self._g02
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return lu_solve(self.lu, rhs)
@@ -62,19 +71,49 @@ class CompletedBoundaryData:
 
 
 def assemble_neumann_system(mesh: SurfaceMesh) -> NeumannSystem:
-    """Build and condition-check the (1/2 I - K') matrix."""
+    """Build, factor and condition-check the (1/2 I - K') matrix.
+
+    The 1-norm condition number is estimated by LAPACK gecon on the LU.  An
+    estimate can read low, so one above COND_LIMIT / 10 (or not finite) is
+    replaced by the exact value, which must not exceed COND_LIMIT.
+    """
     if mesh.n_nodes < 12:
         raise ValueError("mesh too small")
-    K = adjoint_kernel_matrix(mesh)
-    A = 0.5 * np.eye(mesh.n_nodes) - K
-    cond = float(np.linalg.cond(A, 1))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditioned(f"condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    return NeumannSystem(mesh=mesh, matrix=A, condition_estimate=cond)
+    A = adjoint_kernel_matrix(mesh)         # formed in place: A = 0.5 I - K'
+    np.negative(A, out=A)
+    A[np.diag_indices_from(A)] += 0.5
+    lu = lu_factor(A)
+    rcond, _ = dgecon(lu[0], np.linalg.norm(A, 1), norm="1")
+    cond = 1.0 / rcond if rcond > 0 else np.inf
+    if not np.isfinite(cond) or cond > COND_LIMIT / 10:
+        cond = float(np.linalg.cond(A, 1))
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise IllConditioned(f"condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
+    return NeumannSystem(mesh=mesh, matrix=A, lu=lu, condition_estimate=float(cond))
 
 
-def g02_normal_derivative(mesh: SurfaceMesh, A1) -> np.ndarray:
-    """Interior normal-derivative limit of the double layer of A1.
+def _g02_operator(mesh: SurfaceMesh) -> np.ndarray:
+    """G = (2.5 D1 - 4 D2 + 1.5 D3) / eps, Dt the plain double layer at the probes t eps inward.
+
+    Built in row blocks of _CHUNK nodes, one double_layer_matrix call on the
+    block's 3 * _CHUNK probes each, so the transient memory stays at block
+    scale beside the (n, n) result.
+    """
+    n = mesh.n_nodes
+    eps = 2.0 * mesh.node_spacing
+    G = np.empty((n, n))
+    for s in range(0, n, _CHUNK):
+        x, nrm, e = mesh.nodes[s:s + _CHUNK], mesh.normals[s:s + _CHUNK], eps[s:s + _CHUNK, None]
+        D = double_layer_matrix(mesh, np.concatenate([x - t * e * nrm for t in (1.0, 2.0, 3.0)]),
+                                near_correct=False)
+        # one pass over the three (m, n) blocks, written straight into G
+        np.einsum("t,tmn->mn", [2.5, -4.0, 1.5], D.reshape(3, len(x), n), out=G[s:s + _CHUNK])
+        G[s:s + _CHUNK] /= e
+    return G
+
+
+def g02_normal_derivative(system: NeumannSystem, A1) -> np.ndarray:
+    """Interior normal-derivative limit of the double layer of A1: system.g02 @ A1.
 
     One-sided three-point differences of the off-surface field at distances
     {eps, 2 eps, 3 eps} along the inward normal, eps = 2 local spacings; the
@@ -88,13 +127,7 @@ def g02_normal_derivative(mesh: SurfaceMesh, A1) -> np.ndarray:
     The deepest probe sits 6 local spacings inward, so the mesh must resolve
     the domain at that scale (icosphere level >= 2 for the unit ball).
     """
-    A1 = np.asarray(A1, dtype=float)
-    eps = 2.0 * mesh.node_spacing
-    # one (n, n) matrix per probe distance, not one (3n, n) matrix; separate calls of
-    # 256 rows would re-fault the kernel temporaries each time (10-20 % slower at level 4)
-    f1, f2, f3 = (double_layer_matrix(mesh, mesh.nodes - (t * eps)[:, None] * mesh.normals,
-                                      near_correct=False) @ A1 for t in (1.0, 2.0, 3.0))
-    return (2.5 * f1 - 4.0 * f2 + 1.5 * f3) / eps
+    return system.g02 @ np.asarray(A1, dtype=float)
 
 
 def solve_neumann_data(sys: NeumannSystem, A1, volume_source=None,
@@ -103,7 +136,7 @@ def solve_neumann_data(sys: NeumannSystem, A1, volume_source=None,
     A1 = np.asarray(A1, dtype=float)
     if A1.shape != (sys.mesh.n_nodes,):
         raise ValueError("A1 length does not match node count")
-    rhs = g02_normal_derivative(sys.mesh, A1)
+    rhs = g02_normal_derivative(sys, A1)
     if volume_source is not None:
         if grid is None:
             raise ValueError("volume_source requires the grid it lives on")

@@ -13,11 +13,12 @@ Targets closer than two node spacings to their nearest node get the near
 patch in one array pass per row block (_near_patch): each (target, triangle)
 pair whose triangle touches a node within four spacings is recomputed by
 4-way flat-triangle subdivision to a depth set by its distance, minus its
-vertex-rule share, and one np.add.at scatters the corrections.  A
-principal-value row (an on-surface target) instead excludes its nearest node
-and puts the analytic completion of that node's own quadrature cell
-(_pv_disk) in its column; kernels without one (the gradients) refuse it.  A
-point evaluator is one row of the matrix times the density.
+vertex-rule share, and np.add.at scatters each part of the corrections as
+soon as it is made.  A principal-value row (an on-surface target) instead
+excludes its nearest node and puts the analytic completion of that node's
+own quadrature cell (_pv_disk) in its column; kernels without one (the
+gradients) refuse it.  A point evaluator is one row of the matrix times the
+density.
 
 The adjoint double layer K' is the weighted transpose of the principal-value
 Newton double layer D_pv at the nodes, K'[i, j] = -(w_j / w_i) D_pv[j, i];
@@ -203,25 +204,23 @@ def _near_patch(mesh: SurfaceMesh, X, h, kern):
     The triangles incident to the nodes within _NEAR_RADIUS h of a target are
     recomputed by 4-way subdivision to a depth set per (target, triangle)
     pair by its distance (a geometric ladder: deeper where closer, at most 6),
-    minus their vertex-rule share.  Returns (row, col, delta), ordered by
-    depth, then row, then triangle, so a scatter with np.add.at adds the terms
-    of each entry in that order; delta has shape (k,) for scalar kernels and
-    (k, 3) for gradient kernels.
+    minus their vertex-rule share.  Yields (row, col, delta) parts in depth,
+    then row, then triangle order, so scattering each part with np.add.at as
+    it comes adds the terms of each entry in that order; delta has shape (k,)
+    for scalar kernels and (k, 3) for gradient kernels.
     """
     row, tri = _near_pairs(mesh, X, h)
     P = mesh.nodes[mesh.triangles[tri]]
     dmin = np.linalg.norm(P - X[row, None, :], axis=-1).min(axis=1)
     edge = np.linalg.norm(P - np.roll(P, 1, axis=1), axis=-1).max(axis=1)
     depth = np.clip(np.ceil(np.log2(edge / dmin)) + 2, 1, 6).astype(int)
-    parts = []
     for d in np.unique(depth):
         sel = np.nonzero(depth == d)[0]
         step = _PASS_POINTS // 4 ** d                # >= 8, as 4^6 <= _PASS_POINTS
         for b in range(0, len(sel), step):
             pair = sel[b:b + step]
-            parts.append((np.repeat(row[pair], 3),
-                          *_patch_delta(mesh, kern, X[row[pair]], tri[pair], int(d))))
-    return [np.concatenate(p) for p in zip(*parts)]
+            yield (np.repeat(row[pair], 3),
+                   *_patch_delta(mesh, kern, X[row[pair]], tri[pair], int(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +262,8 @@ def _layer_matrix(mesh: SurfaceMesh, X, kern, principal_value=False, near_correc
         out[s:s + _CHUNK] = vals * w
         i = np.nonzero(dist[s:s + _CHUNK] < _NEAR_TRIGGER * h[s:s + _CHUNK])[0]
         if len(i):
-            row, col, delta = _near_patch(mesh, X[s + i], h[s + i], kern)
-            np.add.at(out[s:s + _CHUNK], (i[row], col), delta)
+            for row, col, delta in _near_patch(mesh, X[s + i], h[s + i], kern):
+                np.add.at(out[s:s + _CHUNK], (i[row], col), delta)
     if principal_value:
         out[np.arange(len(X)), nearest] = _pv_disk(mesh, nearest, kern.pv_kind)
     return out

@@ -128,7 +128,10 @@ def solve_semilinear(p: SemilinearProblem, tol: float, max_outer: int = None,
                      workspace: Workspace = None):
     """Run the mollified fixed-point iteration; returns (IterateState, history).
 
-    history rows: {"eps", "iter", "residual_inf", "residual_negnorm", "event"}.
+    history rows: {"eps", "iter", "residual_inf", "residual_negnorm",
+    "raw_peak", "clipped_frac", "event"}; raw_peak is the largest |value| of
+    the four fields before the projection to [-M, M], clipped_frac the share
+    of their values that the projection moved.
     """
     ws = workspace if workspace is not None else Workspace.build(p.mesh, p.grid)
     schedule = list(p.epsilon_schedule)
@@ -138,7 +141,7 @@ def solve_semilinear(p: SemilinearProblem, tol: float, max_outer: int = None,
     if q >= 1.0 and not best_effort:
         raise NoContraction(f"certificate {q:.3g} >= 1; pass best_effort to override")
 
-    g02 = g02_normal_derivative(p.mesh, p.a1)
+    g02 = g02_normal_derivative(ws.sys, p.a1)
     dl_a1 = ws.DL @ p.a1
     gdl_a1 = [ws.GDL[..., a] @ p.a1 for a in range(3)]
     X = p.grid.centers
@@ -174,6 +177,7 @@ def solve_semilinear(p: SemilinearProblem, tol: float, max_outer: int = None,
             assert max(np.max(np.abs(f)) for f in (u, gx, gy, gz)) <= p.M + 1e-12
             history.append({"eps": float(eps), "iter": it,
                             "residual_inf": res_inf, "residual_negnorm": res_neg,
+                            "raw_peak": raw_peak, "clipped_frac": clipped_frac,
                             "event": ""})
             if res_inf <= tol:
                 # a converged iterate pinned over a region (or grossly outside)

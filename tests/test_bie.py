@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import harmonic_polynomials, interior_probes
+from potdeg import bie
 from potdeg.bie import (
     assemble_neumann_system,
     evaluate_representation,
@@ -12,12 +13,63 @@ from potdeg.bie import (
     solve_neumann_data,
     tangential_complete,
 )
-from potdeg.errors import SingularEvaluation
+from potdeg.errors import IllConditioned, SingularEvaluation
 from potdeg.geometry import make_unit_sphere
+from potdeg.solver import SemilinearProblem, solve_semilinear
 
 
 def test_condition_estimate_small(neumann3):
     assert neumann3.condition_estimate < 100.0
+
+
+def test_condition_recheck_accepts_below_the_limit(mesh3, monkeypatch):
+    # the gecon estimate (about 2.85) exceeds 20 / 10, so the exact value is taken
+    monkeypatch.setattr(bie, "COND_LIMIT", 20.0)
+    system = assemble_neumann_system(mesh3)
+    assert system.condition_estimate == pytest.approx(np.linalg.cond(system.matrix, 1), rel=1e-12)
+
+
+def test_condition_recheck_refuses_above_the_limit(mesh3, monkeypatch):
+    # the estimate (about 2.85) is below 3; the exact value (about 3.20) is not
+    monkeypatch.setattr(bie, "COND_LIMIT", 3.0)
+    with pytest.raises(IllConditioned):
+        assemble_neumann_system(mesh3)
+
+
+def _count_double_layer_calls(monkeypatch):
+    calls = []
+    real = bie.double_layer_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bie, "double_layer_matrix", counted)
+    return calls
+
+
+def test_g02_is_built_once_per_system(monkeypatch):
+    system = assemble_neumann_system(make_unit_sphere(2))
+    calls = _count_double_layer_calls(monkeypatch)
+    z = system.mesh.nodes[:, 2]
+    solve_neumann_data(system, z)
+    built, G = len(calls), system.g02
+    assert built > 0
+    solve_neumann_data(system, z * z)
+    assert len(calls) == built
+    assert system.g02 is G
+
+
+def test_semilinear_solve_reuses_the_workspace_g02(mesh3, grid16, workspace16, monkeypatch):
+    G = workspace16.sys.g02
+    calls = _count_double_layer_calls(monkeypatch)
+    p = SemilinearProblem(
+        mesh=mesh3, grid=grid16, a1=mesh3.nodes[:, 2],
+        a1_gradient=np.tile([0.0, 0.0, 1.0], (mesh3.n_nodes, 1)),
+        psi1=lambda u, gx, gy, gz, X: np.zeros(len(u)), M=8.0, lipschitz=0.0)
+    solve_semilinear(p, 1e-9, max_outer=1, workspace=workspace16)
+    assert not calls
+    assert workspace16.sys.g02 is G
 
 
 def test_diagonal_entries_in_band(neumann3):

@@ -67,6 +67,9 @@ def test_manufactured_semilinear(mesh3, grid16, workspace16):
     u = _cells(grid16, state.u)
     assert np.linalg.norm(u - ustar) / np.linalg.norm(ustar) <= 0.03
     assert history[-1]["residual_negnorm"] <= 1e-3 * history[0]["residual_negnorm"]
+    assert all(0.0 <= row["clipped_frac"] <= 1.0 for row in history)
+    # the last iterate is the clipped last raw field, so its peak bounds |u|
+    assert history[-1]["raw_peak"] >= np.max(np.abs(u))
     report = convergence_report(history)
     assert report["tail_monotone"]
     assert not report["diverged"]
