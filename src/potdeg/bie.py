@@ -22,17 +22,20 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
 from .errors import IllConditioned, SingularEvaluation
-from .geometry import SurfaceMesh, VolumeGrid, as_point
+from .geometry import SurfaceMesh, VolumeGrid
 from .potentials import (
     _CHUNK,
-    KernelConvention,
+    _containing_cell,
+    _kern_double_newton,
+    _kern_single_newton,
+    _layer_matrices,
+    _volume_rows,
     adjoint_kernel_matrix,
     adjoint_volume_matrix,
-    double_layer,
     double_layer_matrix,
-    newton_potential,
-    single_layer,
 )
+# bound here because perfbench/tracing.py patches them by name (ROADMAP item 5)
+from .potentials import double_layer, single_layer  # noqa: F401
 
 COND_LIMIT = 1e8
 
@@ -164,21 +167,41 @@ def tangential_complete(mesh: SurfaceMesh, A1_ambient_gradient, A5,
                                  A2=A2, A3=A3, A4=A4, A5=A5, lam=lam)
 
 
-def evaluate_representation(mesh: SurfaceMesh, grid: VolumeGrid, A1, A5, psi1, x) -> float:
-    """u(x) = SL[A5](x) + DL[A1](x) + NP[psi1](x), Newton convention, interior x."""
-    x = as_point(x)
-    dist = mesh.surface_distance(x)
-    spacing = mesh.local_spacing(x)
-    if dist <= spacing:
+def evaluate_representation(mesh: SurfaceMesh, grid: VolumeGrid, A1, A5, psi1, x):
+    """u(x) = SL[A5](x) + DL[A1](x) + NP[psi1](x), Newton convention, interior x.
+
+    x is one point (the result is a float) or an (m, 3) array of points (the
+    result is an (m,) array).  A point within one local node spacing of its
+    nearest node raises SingularEvaluation for the whole batch.  One layer
+    pass builds the single- and double-layer rows of every point through a
+    shared near-field plan, and one volume pass the NP rows; each value is
+    one dot product per row and density, so a batch gives the values of
+    point-by-point calls bit for bit.
+    """
+    X = np.asarray(x, dtype=float)
+    single = X.shape == (3,)
+    X = X.reshape(-1, 3)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("point has non-finite components")
+    A1, A5 = np.asarray(A1, dtype=float), np.asarray(A5, dtype=float)
+    if A1.shape != (mesh.n_nodes,) or A5.shape != (mesh.n_nodes,):
+        raise ValueError("density length does not match node count")
+    dist, nearest = mesh.tree.query(X)
+    spacing = mesh.node_spacing[nearest]
+    if np.any(dist <= spacing):
+        k = int(np.argmax(dist <= spacing))
         raise SingularEvaluation(
-            f"probe at distance {dist:.3g} from the surface (need > {spacing:.3g})")
-    val = single_layer(mesh, np.asarray(A5, dtype=float), x, KernelConvention.NEWTON)
-    val += double_layer(mesh, np.asarray(A1, dtype=float), x, KernelConvention.NEWTON)
+            f"probe at distance {dist[k]:.3g} from the surface (need > {spacing[k]:.3g})")
+    SL, DL = _layer_matrices(mesh, X, (_kern_single_newton, _kern_double_newton))
+    val = np.array([sl @ A5 + dl @ A1 for sl, dl in zip(SL, DL)])
     if psi1 is not None:
         if grid is None:
             raise ValueError("psi1 requires the grid it lives on")
-        val += newton_potential(grid, np.asarray(psi1, dtype=float), x)
-    return float(val)
+        f = np.asarray(psi1, dtype=float)
+        own = [_containing_cell(grid, p) for p in X]
+        for s, rows in _volume_rows(grid, X, own, gradient=False):
+            val[s:s + len(rows)] += [r @ f for r in rows]
+    return float(val[0]) if single else val
 
 
 def save_boundary_field(values, path) -> None:

@@ -42,7 +42,9 @@ class SurfaceMesh:
     weights: np.ndarray        # (n,) vertex quadrature weights
     _tree: cKDTree = field(default=None, repr=False, compare=False)
     _node_spacing: np.ndarray = field(default=None, repr=False, compare=False)
+    _incidence: tuple = field(default=None, repr=False, compare=False)
     _incident: list = field(default=None, repr=False, compare=False)
+    _panels: tuple = field(default=None, repr=False, compare=False)
     _pseudo: "Pseudonormals" = field(default=None, repr=False, compare=False)
 
     @property
@@ -72,14 +74,41 @@ class SurfaceMesh:
         return self._node_spacing
 
     @property
+    def incidence(self) -> tuple:
+        """Flat incidence table (counts, ends, ids), built once.
+
+        Node i touches the triangles ids[ends[i] - counts[i]:ends[i]], in
+        ascending order; ends is the cumulative sum of counts.
+        """
+        if self._incidence is None:
+            flat = self.triangles.ravel()
+            cnt = np.bincount(flat, minlength=self.n_nodes)
+            self._incidence = (cnt, np.cumsum(cnt), np.argsort(flat, kind="stable") // 3)
+        return self._incidence
+
+    @property
     def incident_triangles(self) -> list:
         """For each node, indices of triangles touching it."""
         if self._incident is None:
-            flat = self.triangles.ravel()
-            order = np.argsort(flat, kind="stable")
-            cnt = np.bincount(flat, minlength=self.n_nodes)
-            self._incident = np.split(order // 3, np.cumsum(cnt)[:-1])
+            _, ends, ids = self.incidence
+            self._incident = np.split(ids, ends[:-1])
         return self._incident
+
+    @property
+    def panels(self) -> tuple:
+        """(areas, flat unit normals) of the triangles, built once.
+
+        Each flat normal is oriented to agree with the mean of its three
+        vertex normals, whatever the triangle winding.
+        """
+        if self._panels is None:
+            P = self.nodes[self.triangles]
+            flat = np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
+            flat /= np.maximum(np.linalg.norm(flat, axis=-1, keepdims=True), 1e-30)
+            flip = np.einsum("td,td->t", flat, self.normals[self.triangles].mean(axis=1)) < 0
+            flat[flip] = -flat[flip]
+            self._panels = (triangle_areas(self.nodes, self.triangles), flat)
+        return self._panels
 
     @property
     def pseudonormals(self) -> "Pseudonormals":

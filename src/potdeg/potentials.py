@@ -8,17 +8,21 @@ unnormalized kernel d(1/r)/dn_P; the sign is pinned by the constant
 reproduction of the representation formula (see tests).
 
 Every layer evaluation, a point value or a dense operator, goes through one
-row routine, _layer_matrix: the vertex rule with the node weights folded in.
-Targets closer than two node spacings to their nearest node get the near
-patch in one array pass per row block (_near_patch): each (target, triangle)
-pair whose triangle touches a node within four spacings is recomputed by
-4-way flat-triangle subdivision to a depth set by its distance, minus its
-vertex-rule share, and np.add.at scatters each part of the corrections as
-soon as it is made.  A principal-value row (an on-surface target) instead
-excludes its nearest node and puts the analytic completion of that node's
-own quadrature cell (_pv_disk) in its column; kernels without one (the
-gradients) refuse it.  A point evaluator is one row of the matrix times the
-density.
+row routine, _layer_matrices: the vertex rule with the node weights folded
+in, for one or several kernels at the same targets.  Targets closer than two
+node spacings to their nearest node get the near patch in one array pass per
+row block (_near_patch): each (target, triangle) pair whose triangle touches
+a node within four spacings is recomputed by 4-way flat-triangle subdivision
+to a depth set by its distance, minus its vertex-rule share, and np.add.at
+scatters each part of the corrections as soon as it is made.  That plan (one
+KD query, the pairs and their depths, the subdivided centroids, read off the
+mesh's cached incidence and panel tables) is made once per row block and
+shared by the kernels; each kernel's corrections are scattered in the order
+of its one-kernel build, so every matrix is the same bit for bit.  A
+principal-value row (an on-surface target) instead excludes its nearest node
+and puts the analytic completion of that node's own quadrature cell
+(_pv_disk) in its column; kernels without one (the gradients) refuse it.  A
+point evaluator is one row of the matrix times the density.
 
 The adjoint double layer K' is the weighted transpose of the principal-value
 Newton double layer D_pv at the nodes, K'[i, j] = -(w_j / w_i) D_pv[j, i];
@@ -45,7 +49,6 @@ from .geometry import (
     VolumeGrid,
     _directed_edges,
     as_point,
-    triangle_areas,
 )
 
 _4PI = 4.0 * np.pi
@@ -164,50 +167,49 @@ def _near_pairs(mesh: SurfaceMesh, X, h):
     """(row, triangle) pairs: the triangles incident to the nodes within _NEAR_RADIUS h of X.
 
     Sorted by row, then triangle.  The ball nodes are expanded to their
-    triangles through the flat (node-major) array of mesh.incident_triangles.
+    triangles through the flat incidence table mesh.incidence.
     """
     balls = mesh.tree.query_ball_point(X, _NEAR_RADIUS * h)
     rows = np.repeat(np.arange(len(X)), np.fromiter(map(len, balls), dtype=int, count=len(X)))
     nodes = np.concatenate(balls).astype(int)
-    cnt = np.fromiter(map(len, mesh.incident_triangles), dtype=int, count=mesh.n_nodes)
-    incident = np.concatenate(mesh.incident_triangles)
+    cnt, ends, incident = mesh.incidence
     deg = cnt[nodes]
-    pos = np.repeat(np.cumsum(cnt)[nodes] - np.cumsum(deg), deg) + np.arange(deg.sum())
+    pos = np.repeat(ends[nodes] - np.cumsum(deg), deg) + np.arange(deg.sum())
     n_tri = len(mesh.triangles)
     return np.divmod(np.unique(np.repeat(rows, deg) * n_tri + incident[pos]), n_tri)
 
 
-def _patch_delta(mesh, kern, x, tri, depth):
-    """(cols, delta) of the triangles tri for the targets x (one per triangle) at one depth."""
+def _patch_delta(mesh, kerns, x, tri, depth):
+    """(cols, [delta per kernel]) of the triangles tri at one depth, one target x per triangle."""
     verts = mesh.triangles[tri]                         # (T, 3)
     P = mesh.nodes[verts]                               # (T, 3, 3)
     N = mesh.normals[verts]                             # (T, 3, 3)
-    A = triangle_areas(mesh.nodes, verts)
+    areas, flat = mesh.panels
+    A = areas[tri]
     cb = _subdiv_bary(depth).mean(axis=1)               # (S, 3) centroid barycentrics
     cent = np.einsum("sk,tkd->tsd", cb, P)              # (T, S, 3)
-    # flat panel normals, oriented to agree with the vertex normals; interpolated
-    # normals would be inconsistent with the flat positions (an O(h^2) offset under
-    # a 1/r^3 kernel is non-integrable at the vertex)
-    flat = np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
-    flat /= np.maximum(np.linalg.norm(flat, axis=-1, keepdims=True), _R_FLOOR)
-    flip = np.einsum("td,td->t", flat, N.mean(axis=1)) < 0
-    flat[flip] = -flat[flip]
-    k_sub = kern(x[:, None, :], cent, np.repeat(flat[:, None, :], len(cb), axis=1))
-    contrib = np.einsum("ts...,t,sk->tk...", k_sub, A / 4 ** depth, cb)
-    share = np.einsum("t,tk...->tk...", A / 3.0, kern(x[:, None, :], P, N))
-    return verts.reshape(-1), (contrib - share).reshape((-1,) + k_sub.shape[2:])
+    # flat panel normals: interpolated normals would be inconsistent with the flat
+    # positions (an O(h^2) offset under a 1/r^3 kernel is non-integrable at the vertex)
+    nrm = np.repeat(flat[tri][:, None, :], len(cb), axis=1)
+    deltas = []
+    for kern in kerns:
+        k_sub = kern(x[:, None, :], cent, nrm)
+        contrib = np.einsum("ts...,t,sk->tk...", k_sub, A / 4 ** depth, cb)
+        share = np.einsum("t,tk...->tk...", A / 3.0, kern(x[:, None, :], P, N))
+        deltas.append((contrib - share).reshape((-1,) + k_sub.shape[2:]))
+    return verts.reshape(-1), deltas
 
 
-def _near_patch(mesh: SurfaceMesh, X, h, kern):
-    """Near-field patch corrections at the targets X with local spacings h.
+def _near_patch(mesh: SurfaceMesh, X, h, kerns):
+    """Near-field patch corrections of every kernel in kerns at the targets X with spacings h.
 
     The triangles incident to the nodes within _NEAR_RADIUS h of a target are
     recomputed by 4-way subdivision to a depth set per (target, triangle)
     pair by its distance (a geometric ladder: deeper where closer, at most 6),
-    minus their vertex-rule share.  Yields (row, col, delta) parts in depth,
+    minus their vertex-rule share.  Yields (row, col, deltas) parts in depth,
     then row, then triangle order, so scattering each part with np.add.at as
-    it comes adds the terms of each entry in that order; delta has shape (k,)
-    for scalar kernels and (k, 3) for gradient kernels.
+    it comes adds the terms of each entry in that order; deltas holds one
+    array per kernel, of shape (k,) for scalar and (k, 3) for gradient kernels.
     """
     row, tri = _near_pairs(mesh, X, h)
     P = mesh.nodes[mesh.triangles[tri]]
@@ -220,53 +222,63 @@ def _near_patch(mesh: SurfaceMesh, X, h, kern):
         for b in range(0, len(sel), step):
             pair = sel[b:b + step]
             yield (np.repeat(row[pair], 3),
-                   *_patch_delta(mesh, kern, X[row[pair]], tri[pair], int(d)))
+                   *_patch_delta(mesh, kerns, X[row[pair]], tri[pair], int(d)))
 
 
 # ---------------------------------------------------------------------------
 # layer rows: the one evaluation path of every layer potential
 # ---------------------------------------------------------------------------
 
-def _layer_matrix(mesh: SurfaceMesh, X, kern, principal_value=False, near_correct=True):
-    """Rows of the layer operator with kernel kern at the targets X, weights folded in.
+def _layer_matrices(mesh: SurfaceMesh, X, kerns, principal_value=False, near_correct=True):
+    """Rows of the layer operators with the kernels kerns at the targets X, weights folded in.
 
-    Shape (m, n) for scalar kernels and (m, n, 3) for gradient kernels.  Off
-    the surface, targets within _NEAR_TRIGGER spacings of their nearest node
-    get the near-field patch correction unless near_correct is False; a target
-    within 1e-12 of a node raises SingularEvaluation.  In principal-value mode
-    the nearest node's column holds the completion of its excluded self cell
-    and no patch is applied.
+    One matrix per kernel: shape (m, n) for scalar kernels and (m, n, 3) for
+    gradient kernels.  Off the surface, targets within _NEAR_TRIGGER spacings
+    of their nearest node get the near-field patch correction unless
+    near_correct is False; a target within 1e-12 of a node raises
+    SingularEvaluation.  The kernels share one near-field plan per row block,
+    and each matrix is scattered in the order of its one-kernel build, so
+    equals it bit for bit.  In principal-value mode the nearest node's column
+    holds the completion of its excluded self cell and no patch is applied.
     """
     X = np.asarray(X, dtype=float).reshape(-1, 3)
     # plain vertex-rule rows need only the coincidence test; a query bounded
     # at 1e-12 answers it about ten times faster (dist is inf beyond it)
     bound = np.inf if principal_value or near_correct else 1e-12
     dist, nearest = mesh.tree.query(X, distance_upper_bound=bound)
-    if principal_value and not hasattr(kern, "pv_kind"):
+    if principal_value and not all(hasattr(kern, "pv_kind") for kern in kerns):
         raise ValueError("kernel has no principal-value self-cell completion")
     if not principal_value and np.any(dist < 1e-12):
         node = int(nearest[np.argmax(dist < 1e-12)])
         raise SingularEvaluation(
             f"evaluation point coincides with node {node}; use principal value mode")
-    # () for scalar kernels, (3,) for gradient kernels
-    trail = np.shape(kern(mesh.nodes[0], mesh.nodes[1:2], mesh.normals[1:2]))[1:]
-    out = np.empty((len(X), mesh.n_nodes) + trail)
-    w = mesh.weights.reshape((-1,) + (1,) * len(trail))
+    # trailing shape () for scalar kernels, (3,) for gradient kernels
+    outs = [np.empty((len(X), mesh.n_nodes)
+                     + np.shape(kern(mesh.nodes[0], mesh.nodes[1:2], mesh.normals[1:2]))[1:])
+            for kern in kerns]
     # spacings that set the near-patch trigger; 0 turns the patch off
     h = mesh.node_spacing[nearest] if near_correct and not principal_value else np.zeros(len(X))
     for s in range(0, len(X), _CHUNK):
-        # vals stays alive while the next block is computed, so the allocator
-        # reuses the block temporaries instead of returning and re-faulting
-        # them (about 20 % of the g02 build at level 4 otherwise)
-        vals = kern(X[s:s + _CHUNK, None, :], mesh.nodes, mesh.normals)
-        out[s:s + _CHUNK] = vals * w
+        for kern, out in zip(kerns, outs):
+            # vals stays alive while the next block is computed, so the allocator
+            # reuses the block temporaries instead of returning and re-faulting
+            # them (about 20 % of the g02 build at level 4 otherwise)
+            vals = kern(X[s:s + _CHUNK, None, :], mesh.nodes, mesh.normals)
+            out[s:s + _CHUNK] = vals * mesh.weights.reshape((-1,) + (1,) * (out.ndim - 2))
         i = np.nonzero(dist[s:s + _CHUNK] < _NEAR_TRIGGER * h[s:s + _CHUNK])[0]
         if len(i):
-            for row, col, delta in _near_patch(mesh, X[s + i], h[s + i], kern):
-                np.add.at(out[s:s + _CHUNK], (i[row], col), delta)
+            for row, col, deltas in _near_patch(mesh, X[s + i], h[s + i], kerns):
+                for out, delta in zip(outs, deltas):
+                    np.add.at(out[s:s + _CHUNK], (i[row], col), delta)
     if principal_value:
-        out[np.arange(len(X)), nearest] = _pv_disk(mesh, nearest, kern.pv_kind)
-    return out
+        for kern, out in zip(kerns, outs):
+            out[np.arange(len(X)), nearest] = _pv_disk(mesh, nearest, kern.pv_kind)
+    return outs
+
+
+def _layer_matrix(mesh: SurfaceMesh, X, kern, principal_value=False, near_correct=True):
+    """The rows of the one kernel kern: _layer_matrices with a one-kernel tuple."""
+    return _layer_matrices(mesh, X, (kern,), principal_value, near_correct)[0]
 
 
 def _layer_value(mesh: SurfaceMesh, dens, x, kern, principal_value) -> float:

@@ -17,12 +17,20 @@ from .errors import DivergenceDetected, NoContraction
 from .funcspace import GridFunction, mollify, negative_norm
 from .geometry import SurfaceMesh, VolumeGrid
 from .potentials import (
+    _kern_double_newton,
+    _kern_grad_double_newton,
+    _kern_grad_single_newton,
+    _kern_single_newton,
+    _layer_matrices,
     adjoint_volume_matrix,
+    grad_newton_matrices,
+    newton_matrix,
+)
+# bound here because perfbench/tracing.py patches them by name (ROADMAP item 5)
+from .potentials import (  # noqa: F401
     double_layer_matrix,
     grad_double_layer_matrix,
-    grad_newton_matrices,
     grad_single_layer_matrix,
-    newton_matrix,
     single_layer_matrix,
 )
 
@@ -82,11 +90,10 @@ class Workspace:
     def build(mesh: SurfaceMesh, grid: VolumeGrid) -> "Workspace":
         ws = Workspace(mesh=mesh, grid=grid)
         ws.sys = assemble_neumann_system(mesh)
-        X = grid.centers
-        ws.SL = single_layer_matrix(mesh, X)
-        ws.DL = double_layer_matrix(mesh, X)
-        ws.GSL = grad_single_layer_matrix(mesh, X)
-        ws.GDL = grad_double_layer_matrix(mesh, X)
+        # one near-field plan per row block serves all four layer kernels
+        ws.SL, ws.DL, ws.GSL, ws.GDL = _layer_matrices(
+            mesh, grid.centers, (_kern_single_newton, _kern_double_newton,
+                                 _kern_grad_single_newton, _kern_grad_double_newton))
         ws.NM = newton_matrix(grid)
         ws.GNM = grad_newton_matrices(grid)
         ws.Kvol = adjoint_volume_matrix(mesh, grid)

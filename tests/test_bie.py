@@ -206,6 +206,43 @@ def test_representation_rejects_near_surface(mesh3):
         evaluate_representation(mesh3, None, z, z, None, [0.0, 0.0, 0.999])
 
 
+def _near_and_deep_probes(mesh, rng):
+    """Probes 1.2 to 1.8 spacings inside, and deep interior ones."""
+    i = rng.choice(mesh.n_nodes, 12, replace=False)
+    depth = rng.uniform(1.2, 1.8, 12) * mesh.node_spacing[i]
+    near = mesh.nodes[i] - depth[:, None] * mesh.normals[i]
+    return rng.permutation(np.concatenate([near, interior_probes(rng, 12, r_max=0.7)]))
+
+
+def test_batched_representation_equals_per_point_values(mesh3, neumann3, grid16):
+    rng = np.random.default_rng(15)
+    X = _near_and_deep_probes(mesh3, rng)
+    a1 = mesh3.nodes[:, 2] + mesh3.nodes[:, 0] * mesh3.nodes[:, 1]
+    a5 = solve_neumann_data(neumann3, a1)
+    psi1 = rng.normal(size=grid16.n_cells)
+    for grid, psi in ((None, None), (grid16, psi1)):
+        batch = evaluate_representation(mesh3, grid, a1, a5, psi, X)
+        assert batch.shape == (len(X),)
+        points = [evaluate_representation(mesh3, grid, a1, a5, psi, x) for x in X]
+        np.testing.assert_array_equal(batch, points)
+
+
+def test_batched_representation_refuses_the_whole_batch(mesh3):
+    z = mesh3.nodes[:, 2]
+    X = np.concatenate([interior_probes(np.random.default_rng(16), 5),
+                        mesh3.nodes[3:4] - 0.5 * mesh3.node_spacing[3] * mesh3.normals[3:4]])
+    with pytest.raises(SingularEvaluation):
+        evaluate_representation(mesh3, None, z, z, None, X)
+    with pytest.raises(SingularEvaluation):
+        evaluate_representation(mesh3, None, z, z, None, X[::-1])
+
+
+def test_single_point_representation_is_a_python_float(mesh3):
+    z = mesh3.nodes[:, 2]
+    assert type(evaluate_representation(mesh3, None, z, z, None, [0.1, 0.0, 0.2])) is float
+    assert type(evaluate_representation(mesh3, None, z, z, None, np.zeros(3))) is float
+
+
 def test_boundary_field_roundtrip(tmp_path, mesh3):
     rng = np.random.default_rng(2)
     v = rng.normal(size=mesh3.n_nodes)

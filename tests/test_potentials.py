@@ -11,6 +11,7 @@ from potdeg.potentials import (
     _kern_grad_double_newton,
     _kern_grad_single_newton,
     _kern_single_newton,
+    _layer_matrices,
     _layer_matrix,
     _subdiv_bary,
     absolute_solid_angle,
@@ -419,6 +420,51 @@ def test_layer_matrices_match_per_target_patch_loop(mesh3, builder, kern):
     deep *= rng.uniform(0.05, 0.7, (200, 1)) / np.linalg.norm(deep, axis=1)[:, None]
     X = rng.permutation(np.concatenate([P0 - f * h * n0 for f in (0.3, 1.0, 1.7)] + [deep]))
     np.testing.assert_array_equal(builder(mesh3, X), _layer_matrix_loop(mesh3, X, kern))
+
+
+_LAYER_KERNELS = (_kern_single_newton, _kern_double_newton,
+                  _kern_grad_single_newton, _kern_grad_double_newton)
+
+
+def test_one_pass_over_four_kernels_matches_each_one_kernel_build(mesh3):
+    # near targets 0.3, 1 and 1.7 spacings inside, shuffled among deep ones
+    # over two row blocks
+    rng = np.random.default_rng(13)
+    i = rng.choice(mesh3.n_nodes, 30, replace=False)
+    P0, n0, h = mesh3.nodes[i], mesh3.normals[i], mesh3.node_spacing[i][:, None]
+    deep = rng.normal(size=(200, 3))
+    deep *= rng.uniform(0.05, 0.7, (200, 1)) / np.linalg.norm(deep, axis=1)[:, None]
+    X = rng.permutation(np.concatenate([P0 - f * h * n0 for f in (0.3, 1.0, 1.7)] + [deep]))
+    builders = (single_layer_matrix, double_layer_matrix,
+                grad_single_layer_matrix, grad_double_layer_matrix)
+    for got, builder in zip(_layer_matrices(mesh3, X, _LAYER_KERNELS), builders, strict=True):
+        np.testing.assert_array_equal(got, builder(mesh3, X))
+    plain = _layer_matrices(mesh3, X, _LAYER_KERNELS, near_correct=False)
+    np.testing.assert_array_equal(plain[1], double_layer_matrix(mesh3, X, near_correct=False))
+    for got, kern in zip(plain, _LAYER_KERNELS, strict=True):
+        np.testing.assert_array_equal(got, _layer_matrix(mesh3, X, kern, near_correct=False))
+    pv = (_kern_single_newton, _kern_double_newton)
+    for got, kern in zip(_layer_matrices(mesh3, mesh3.nodes[:40], pv, principal_value=True), pv):
+        np.testing.assert_array_equal(
+            got, _layer_matrix(mesh3, mesh3.nodes[:40], kern, principal_value=True))
+
+
+def test_cached_incidence_and_panel_tables_match_the_per_call_formulas(mesh3):
+    cnt, ends, ids = mesh3.incidence
+    inc = mesh3.incident_triangles
+    np.testing.assert_array_equal(cnt, np.fromiter(map(len, inc), dtype=int))
+    np.testing.assert_array_equal(ends, np.cumsum(cnt))
+    np.testing.assert_array_equal(ids, np.concatenate(inc))
+    tri = np.random.default_rng(14).permutation(len(mesh3.triangles))[:200]
+    verts = mesh3.triangles[tri]
+    P, N = mesh3.nodes[verts], mesh3.normals[verts]
+    flat = np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
+    flat /= np.maximum(np.linalg.norm(flat, axis=-1, keepdims=True), 1e-30)
+    flip = np.einsum("td,td->t", flat, N.mean(axis=1)) < 0
+    flat[flip] = -flat[flip]
+    areas, normals = mesh3.panels
+    np.testing.assert_array_equal(areas[tri], triangle_areas(mesh3.nodes, verts))
+    np.testing.assert_array_equal(normals[tri], flat)
 
 
 _UNIT_SUBCELLS = np.stack(np.meshgrid(*[(np.arange(4) + 0.5) / 4 - 0.5] * 3, indexing="ij"),
