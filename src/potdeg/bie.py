@@ -100,7 +100,9 @@ def _g02_operator(mesh: SurfaceMesh) -> np.ndarray:
 
     Built in row blocks of _CHUNK nodes, one double_layer_matrix call on the
     block's 3 * _CHUNK probes each, so the transient memory stays at block
-    scale beside the (n, n) result.
+    scale beside the (n, n) result.  Each row sum is then taken off its
+    diagonal entry, so that G maps constants to 0 as the exact operator does
+    (the interior double layer of a constant is constant).
     """
     n = mesh.n_nodes
     eps = 2.0 * mesh.node_spacing
@@ -112,6 +114,7 @@ def _g02_operator(mesh: SurfaceMesh) -> np.ndarray:
         # one pass over the three (m, n) blocks, written straight into G
         np.einsum("t,tmn->mn", [2.5, -4.0, 1.5], D.reshape(3, len(x), n), out=G[s:s + _CHUNK])
         G[s:s + _CHUNK] /= e
+    G[np.diag_indices(n)] -= G.sum(axis=1)
     return G
 
 

@@ -99,6 +99,14 @@ def test_dtn_constant(neumann3):
     assert np.max(np.abs(a5)) <= 2e-2
 
 
+@pytest.mark.parametrize("level", [3, 4])
+def test_dtn_constant_trace_is_exact(level, neumann3, mesh4):
+    # g02 maps constants to 0, so the constant trace's Neumann data is 0 to round-off
+    system = neumann3 if level == 3 else assemble_neumann_system(mesh4)
+    a5 = solve_neumann_data(system, np.ones(system.mesh.n_nodes))
+    assert np.max(np.abs(a5)) <= 1e-12
+
+
 def test_dtn_degree_one(neumann3):
     z = neumann3.mesh.nodes[:, 2]
     a5 = solve_neumann_data(neumann3, z)

@@ -524,7 +524,9 @@ def test_g02_matches_the_unchunked_product(mesh3, neumann3):
                              for k in (1.0, 2.0, 3.0)])
     D = double_layer_matrix(mesh3, probes, near_correct=False)
     f1, f2, f3 = D[:n] @ A1, D[n:2 * n] @ A1, D[2 * n:] @ A1
-    want = (2.5 * f1 - 4.0 * f2 + 1.5 * f3) / eps
+    # G's row sums come off its diagonal, so that G maps constants to 0
+    c1, c2, c3 = D[:n].sum(axis=1), D[n:2 * n].sum(axis=1), D[2 * n:].sum(axis=1)
+    want = (2.5 * f1 - 4.0 * f2 + 1.5 * f3) / eps - (2.5 * c1 - 4.0 * c2 + 1.5 * c3) / eps * A1
     # the stencil cancels most of its terms (a constant trace gives g02 near 0
     # from fields near -1), so rounding is measured on the scale of the terms
     scale = np.max((2.5 * np.abs(f1) + 4.0 * np.abs(f2) + 1.5 * np.abs(f3)) / eps)
