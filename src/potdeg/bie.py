@@ -4,12 +4,14 @@ The Neumann data A5 = du/dn solves the second-kind equation
 (1/2 I - K') A5 = g02 + K'_vol psi1, where K' is the adjoint double layer
 (Newton convention) and g02 is the interior normal-derivative limit of the
 double layer of the Dirichlet data A1.  The solution is then evaluated by
-u = SL[A5] + DL[A1] + NP[psi1].
+u = SL[A5] + DL[A1] + NP[psi1], at one point or at an (m, 3) array of points
+with one shared single- and double-layer pass (evaluate_representation).
 
 g02 is a fixed linear map of A1 that depends only on the mesh.  NeumannSystem
 builds it once, as a dense (n, n) operator of n^2 * 8 bytes (3.3 MB at
 icosphere level 3, 52 MB at level 4, 840 MB at level 5), on the first solve,
-and every later solve applies it as one matrix-vector product.
+and every later solve applies it as one matrix-vector product.  Its row sums
+are taken off its diagonal, so that it maps constants to 0.
 """
 
 from __future__ import annotations
@@ -201,6 +203,8 @@ def evaluate_representation(mesh: SurfaceMesh, grid: VolumeGrid, A1, A5, psi1, x
         if grid is None:
             raise ValueError("psi1 requires the grid it lives on")
         f = np.asarray(psi1, dtype=float)
+        if f.shape != (grid.n_cells,):
+            raise ValueError("source length does not match cell count")
         own = [_containing_cell(grid, p) for p in X]
         for s, rows in _volume_rows(grid, X, own, gradient=False):
             val[s:s + len(rows)] += [r @ f for r in rows]
