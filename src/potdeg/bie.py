@@ -162,14 +162,14 @@ def tangential_complete(mesh: SurfaceMesh, A1_ambient_gradient, A5,
     """Complete the boundary gradient: A_{2,3,4} = dA1/dx_i + lambda n_i, lambda = A5 - dA1/dn."""
     G = np.asarray(A1_ambient_gradient, dtype=float).reshape(mesh.n_nodes, 3)
     A5 = np.asarray(A5, dtype=float)
+    A1 = np.zeros(mesh.n_nodes) if A1 is None else np.asarray(A1, dtype=float)
+    if A1.shape != (mesh.n_nodes,) or A5.shape != (mesh.n_nodes,):
+        raise ValueError("density length does not match node count")
     lam = A5 - np.einsum("nd,nd->n", G, mesh.normals)
     A2 = G[:, 0] + lam * mesh.normals[:, 0]
     A3 = G[:, 1] + lam * mesh.normals[:, 1]
     A4 = G[:, 2] + lam * mesh.normals[:, 2]
-    if A1 is None:
-        A1 = np.zeros(mesh.n_nodes)
-    return CompletedBoundaryData(A1=np.asarray(A1, dtype=float),
-                                 A2=A2, A3=A3, A4=A4, A5=A5, lam=lam)
+    return CompletedBoundaryData(A1=A1, A2=A2, A3=A3, A4=A4, A5=A5, lam=lam)
 
 
 def evaluate_representation(mesh: SurfaceMesh, grid: VolumeGrid, A1, A5, psi1, x):

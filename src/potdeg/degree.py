@@ -31,7 +31,6 @@ from .hammerstein import HammersteinProblem, estimate_tau, multi_start_picard
 
 METHOD_SIGN_1D = "BoundarySign1D"
 METHOD_JACOBIAN = "JacobianSignSum"
-METHOD_HOMOTOPY = "GridHomotopy"
 
 
 def basis_size(N: int) -> int:

@@ -123,11 +123,6 @@ class SurfaceMesh:
         sp = self.node_spacing[idx]
         return float(sp[0]) if sp.size == 1 else sp
 
-    def surface_distance(self, x) -> float:
-        """Distance from x to the nearest node (proxy for distance to the surface)."""
-        d, _ = self.tree.query(np.asarray(x, dtype=float).reshape(-1, 3))
-        return float(d[0]) if d.size == 1 else d
-
 
 def triangle_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     p0 = nodes[triangles[:, 0]]
@@ -525,8 +520,8 @@ def classify_point(mesh: SurfaceMesh, x) -> str:
     from .potentials import solid_angle
 
     x = as_point(x)
-    dist = mesh.surface_distance(x)
-    if dist <= mesh.local_spacing(x):
+    dist, nearest = mesh.tree.query(x)     # nearest node: a proxy for the surface
+    if dist <= mesh.node_spacing[nearest]:
         return BOUNDARY
     omega = solid_angle(mesh, x)
     band = np.pi / 2.0

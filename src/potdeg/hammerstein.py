@@ -34,6 +34,10 @@ class HammersteinProblem:
             raise ValueError("weights/nodes length mismatch")
         if self.M <= 0:
             raise ValueError("M must be positive")
+        if not all(v is None or (np.isfinite(v) and v >= 0)
+                   for v in (self.lipschitz, self.psi_bound)):
+            raise ValueError(f"lipschitz {self.lipschitz} and psi_bound {self.psi_bound} "
+                             "must be finite and non-negative")
 
     @property
     def n(self) -> int:
@@ -145,11 +149,10 @@ def estimate_tau(p: HammersteinProblem, samples: int, seed: int) -> float:
             peak = 1.0
         best = min(best, gap(f * (p.M / peak)))
     best = min(best, gap(np.full(p.n, p.M)), gap(np.full(p.n, -p.M)))
-    base = w * np.asarray(p.psi(p.nodes, np.zeros(p.n)), dtype=float)
-    T0 = K @ base
+    psi_zero = np.asarray(p.psi(p.nodes, np.zeros(p.n)), dtype=float)
+    T0 = K @ (w * psi_zero)
     psi_plus = np.asarray(p.psi(p.nodes, np.full(p.n, p.M)), dtype=float)
     psi_minus = np.asarray(p.psi(p.nodes, np.full(p.n, -p.M)), dtype=float)
-    psi_zero = np.asarray(p.psi(p.nodes, np.zeros(p.n)), dtype=float)
     for i in range(p.n):
         for sign, psi_i in ((1.0, psi_plus[i]), (-1.0, psi_minus[i])):
             f = np.zeros(p.n)

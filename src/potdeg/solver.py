@@ -1,9 +1,9 @@
 """Semilinear Dirichlet solver: -Lap u = psi1(u, grad u) on Omega.
 
-Mollified fixed-point iteration over a decreasing width schedule: evaluate the
-source on the grid, mollify, solve the second-kind boundary equation for the
-Neumann data, evaluate u and grad u by the representation formula, project to
-the declared band, and track sup and negative-norm residuals of the update.
+Mollified fixed-point iteration over a decreasing width schedule: mollify the
+source, apply the affine source -> (u, grad u) map whose linear part the
+contraction certificate bounds, project to the declared band, and track sup
+and negative-norm residuals of the update.
 """
 
 from __future__ import annotations
@@ -57,6 +57,11 @@ class SemilinearProblem:
         if self.epsilon_schedule is None:
             dx2 = float(np.max(self.grid.spacing)) ** 2
             self.epsilon_schedule = [f * dx2 for f in DEFAULT_SCHEDULE_FACTORS]
+        lip, eps = np.asarray(self.lipschitz, float), np.asarray(self.epsilon_schedule, float)
+        if lip.shape != (4,) or not np.all(np.isfinite(lip) & (lip >= 0)):
+            raise ValueError("lipschitz needs 4 finite non-negative constants")
+        if eps.ndim != 1 or eps.size == 0 or not np.all(np.isfinite(eps) & (eps > 0)):
+            raise ValueError("epsilon_schedule must be a non-empty list of positive widths")
 
 
 @dataclass
@@ -84,7 +89,7 @@ class Workspace:
     NM: np.ndarray = None
     GNM: list = None
     Kvol: np.ndarray = None
-    _maps: tuple = None
+    _maps: np.ndarray = None
 
     @staticmethod
     def build(mesh: SurfaceMesh, grid: VolumeGrid) -> "Workspace":
@@ -100,14 +105,17 @@ class Workspace:
         return ws
 
     def source_to_field_matrices(self):
-        """Linear maps source -> (u, ux, uy, uz) through A5 and the volume term."""
+        """Linear maps source -> (u, ux, uy, uz) through A5 and the volume term:
+        views (M_u, [M_gx, M_gy, M_gz]) into the cached (4, c, c) array _maps."""
         if self._maps is None:
-            from scipy.linalg import lu_solve
-            AinvK = lu_solve(self.sys.lu, self.Kvol)
-            M_u = self.NM + self.SL @ AinvK
-            M_g = [self.GNM[a] + self.GSL[..., a] @ AinvK for a in range(3)]
-            self._maps = (M_u, M_g)
-        return self._maps
+            AinvK = self.sys.solve(self.Kvol)
+            c = self.grid.n_cells
+            self._maps = np.empty((4, c, c))
+            for block, layer, volume in zip(self._maps, (self.SL, *np.moveaxis(self.GSL, 2, 0)),
+                                            (self.NM, *self.GNM)):
+                np.matmul(layer, AinvK, out=block)
+                block += volume
+        return self._maps[0], list(self._maps[1:])
 
 
 def _embed(grid: VolumeGrid, values) -> GridFunction:
@@ -123,11 +131,10 @@ def _extract(grid: VolumeGrid, f: GridFunction) -> np.ndarray:
 
 def contraction_certificate(p: SemilinearProblem, ws: Workspace) -> float:
     """sum_i L_i * ||source -> field_i||_inf; < 1 certifies the Picard loop."""
-    M_u, M_g = ws.source_to_field_matrices()
-    q = p.lipschitz[0] * float(np.max(np.sum(np.abs(M_u), axis=1)))
-    for a in range(3):
-        q += p.lipschitz[1 + a] * float(np.max(np.sum(np.abs(M_g[a]), axis=1)))
-    return q
+    ws.source_to_field_matrices()
+    # one c x c block at a time keeps the |.| temporary at a quarter of the maps
+    return sum(L * float(np.max(np.sum(np.abs(m), axis=1)))
+               for L, m in zip(p.lipschitz, ws._maps))
 
 
 def solve_semilinear(p: SemilinearProblem, tol: float, max_outer: int = None,
@@ -140,24 +147,24 @@ def solve_semilinear(p: SemilinearProblem, tol: float, max_outer: int = None,
     the four fields before the projection to [-M, M], clipped_frac the share
     of their values that the projection moved.
     """
+    if max_inner < 1 or (max_outer is not None and max_outer < 1):
+        raise ValueError("max_outer and max_inner must be >= 1")
     ws = workspace if workspace is not None else Workspace.build(p.mesh, p.grid)
-    schedule = list(p.epsilon_schedule)
-    if max_outer is not None:
-        schedule = schedule[:max_outer]
+    schedule = list(p.epsilon_schedule)[:max_outer]
     q = contraction_certificate(p, ws)
     if q >= 1.0 and not best_effort:
         raise NoContraction(f"certificate {q:.3g} >= 1; pass best_effort to override")
 
+    # F = maps @ s_eff + F0: the fields are affine in the mollified source, and
+    # F0 = (SL, GSL) A^-1 g02 + (DL, GDL) a1 are those of the source-free problem
     g02 = g02_normal_derivative(ws.sys, p.a1)
-    dl_a1 = ws.DL @ p.a1
-    gdl_a1 = [ws.GDL[..., a] @ p.a1 for a in range(3)]
-    X = p.grid.centers
+    A0 = ws.sys.solve(g02)
+    F0 = np.array([ws.SL @ A0 + ws.DL @ p.a1,
+                   *(ws.GSL[..., a] @ A0 + ws.GDL[..., a] @ p.a1 for a in range(3))])
     c = p.grid.n_cells
-    u = np.zeros(c)
-    gx = np.zeros(c)
-    gy = np.zeros(c)
-    gz = np.zeros(c)
-    A5 = np.zeros(p.mesh.n_nodes)
+    maps = ws._maps.reshape(4 * c, c)
+    X = p.grid.centers
+    F = np.zeros((4, c))       # rows u, ux, uy, uz
     history = []
     outer_final = []
     for eps in schedule:
@@ -165,23 +172,17 @@ def solve_semilinear(p: SemilinearProblem, tol: float, max_outer: int = None,
         best_inner = np.inf
         grow_run = 0
         for it in range(1, max_inner + 1):
-            s = np.asarray(p.psi1(u, gx, gy, gz, X), dtype=float)
-            s_box = mollify(_embed(p.grid, s), eps)
-            s_eff = _extract(p.grid, s_box)
-            rhs = g02 + ws.Kvol @ s_eff
-            A5 = ws.sys.solve(rhs)
-            raw = [ws.SL @ A5 + dl_a1 + ws.NM @ s_eff,
-                   ws.GSL[..., 0] @ A5 + gdl_a1[0] + ws.GNM[0] @ s_eff,
-                   ws.GSL[..., 1] @ A5 + gdl_a1[1] + ws.GNM[1] @ s_eff,
-                   ws.GSL[..., 2] @ A5 + gdl_a1[2] + ws.GNM[2] @ s_eff]
-            raw_peak = max(float(np.max(np.abs(f))) for f in raw)
-            clipped_frac = float(np.mean([np.mean(np.abs(f) > p.M) for f in raw]))
-            u_new, gx_new, gy_new, gz_new = (np.clip(f, -p.M, p.M) for f in raw)
-            diffs = [u_new - u, gx_new - gx, gy_new - gy, gz_new - gz]
-            res_inf = max(float(np.max(np.abs(d))) for d in diffs)
+            s = np.asarray(p.psi1(*F, X), dtype=float)
+            s_eff = _extract(p.grid, mollify(_embed(p.grid, s), eps))
+            raw = (maps @ s_eff).reshape(4, c) + F0
+            raw_peak = float(np.max(np.abs(raw)))
+            clipped_frac = float(np.mean(np.abs(raw) > p.M))
+            F_new = np.clip(raw, -p.M, p.M)
+            diffs = F_new - F
+            res_inf = float(np.max(np.abs(diffs)))
             res_neg = max(negative_norm(_embed(p.grid, d), p.m1) for d in diffs)
-            u, gx, gy, gz = u_new, gx_new, gy_new, gz_new
-            assert max(np.max(np.abs(f)) for f in (u, gx, gy, gz)) <= p.M + 1e-12
+            F = F_new
+            assert np.max(np.abs(F)) <= p.M + 1e-12
             history.append({"eps": float(eps), "iter": it,
                             "residual_inf": res_inf, "residual_negnorm": res_neg,
                             "raw_peak": raw_peak, "clipped_frac": clipped_frac,
@@ -217,11 +218,10 @@ def solve_semilinear(p: SemilinearProblem, tol: float, max_outer: int = None,
                                      "schedule steps", history=history)
         if not converged and not best_effort and history[-1]["residual_inf"] > 100 * tol:
             history[-1]["event"] = "stalled"
-    state = IterateState(
-        u=_embed(p.grid, u), u_x=_embed(p.grid, gx),
-        u_y=_embed(p.grid, gy), u_z=_embed(p.grid, gz),
-        A5=A5, residual_negnorm=history[-1]["residual_negnorm"],
-        residual_inf=history[-1]["residual_inf"])
+    # fields u, u_x, u_y, u_z; A5 from the last mollified source
+    state = IterateState(*(_embed(p.grid, f) for f in F), A5=ws.sys.solve(g02 + ws.Kvol @ s_eff),
+                         residual_negnorm=history[-1]["residual_negnorm"],
+                         residual_inf=history[-1]["residual_inf"])
     return state, history
 
 

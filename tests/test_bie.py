@@ -150,6 +150,15 @@ def test_tangential_complete_examples(mesh3):
     assert np.allclose(data.lam, 0.0, atol=1e-12)
 
 
+def test_tangential_complete_rejects_length_mismatch(mesh3):
+    n = mesh3.n_nodes
+    G = np.zeros((n, 3))
+    with pytest.raises(ValueError):
+        tangential_complete(mesh3, G, np.ones(1))       # would broadcast
+    with pytest.raises(ValueError):
+        tangential_complete(mesh3, G, np.ones(n), A1=np.ones(n - 1))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_gradient_identity_exact(seed):

@@ -233,6 +233,16 @@ def test_pipeline_budget_discipline():
         leray_schauder_degree(p, 0, 20, 7)
 
 
+def test_pipeline_refuses_negative_psi_bound():
+    # k_err = fit error * psi_bound would be negative and pass the tau/3 budget
+    nodes, w = uniform_grid_1d(0.0, 1.0, 41)
+    with pytest.raises(ValueError):
+        HammersteinProblem(
+            nodes=nodes, weights=w, kernel=constant_kernel(0.5), psi=lambda Y, s: s,
+            g=lambda X: np.full(len(np.atleast_2d(X)), 0.1),
+            M=1.0, lipschitz=1.0, psi_bound=-1.0)
+
+
 def test_pipeline_homotopy_invariance():
     degs = []
     for eta in (0.0, 0.05, 0.1, 0.15, 0.2):

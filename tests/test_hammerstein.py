@@ -136,6 +136,31 @@ def test_estimate_tau_deterministic():
     assert estimate_tau(p, 25, 42) != estimate_tau(p, 25, 43) or True  # seeds recorded
 
 
+def test_estimate_tau_evaluates_psi_at_zero_once():
+    zero_calls = []
+
+    def psi(Y, s):
+        if not np.any(s):
+            zero_calls.append(1)
+        return 0.5 * s
+
+    estimate_tau(make_problem(psi=psi), 5, 0)
+    assert len(zero_calls) == 1
+
+
+@pytest.mark.parametrize("lip", [-3.0, np.nan, np.inf])
+def test_problem_rejects_bad_lipschitz(lip):
+    # a negative constant would read as a negative contraction ratio
+    with pytest.raises(ValueError):
+        make_problem(lip=lip)
+
+
+@pytest.mark.parametrize("bound", [-1.0, np.nan, np.inf])
+def test_problem_rejects_bad_psi_bound(bound):
+    with pytest.raises(ValueError):
+        make_problem(psi_bound=bound)
+
+
 def test_multi_start_picard_finds_fixed_point():
     p = make_problem(lam=0.5, g_val=1.0)
     sol = multi_start_picard(p, 1e-11, 400, 6, 0)
